@@ -86,23 +86,23 @@ fn bench_kernel_primitives() {
             let mut sim = Simulator::new();
             let f = sim.fifo::<u64>("f", 16);
             let (tx, rx) = (f.clone(), f);
-            sim.spawn("producer", move |ctx| {
+            sim.spawn("producer", move |mut ctx| async move {
                 for i in 0..10_000_u64 {
-                    tx.write(ctx, i);
+                    tx.write(&mut ctx, i).await;
                 }
             });
-            sim.spawn("consumer", move |ctx| {
+            sim.spawn("consumer", move |mut ctx| async move {
                 for _ in 0..10_000_u64 {
-                    let _ = rx.read(ctx);
+                    let _ = rx.read(&mut ctx).await;
                 }
             });
             std::hint::black_box(sim.run().expect("runs").deltas);
         }),
         Case::new("timed_waits_10k", || {
             let mut sim = Simulator::new();
-            sim.spawn("p", |ctx| {
+            sim.spawn("p", |mut ctx| async move {
                 for _ in 0..10_000 {
-                    ctx.wait(scperf_kernel::Time::ns(5));
+                    ctx.wait(scperf_kernel::Time::ns(5)).await;
                 }
             });
             std::hint::black_box(sim.run().expect("runs").end_time);

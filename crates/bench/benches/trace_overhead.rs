@@ -52,15 +52,15 @@ fn fifo_workload(configure: impl FnOnce(&mut Simulator)) -> u64 {
     configure(&mut sim);
     let f = sim.fifo::<u32>("ch", 16);
     let (w, r) = (f.clone(), f);
-    sim.spawn("producer", move |ctx| {
+    sim.spawn("producer", move |mut ctx| async move {
         for i in 0..ITEMS {
-            w.write(ctx, i);
+            w.write(&mut ctx, i).await;
         }
     });
-    sim.spawn("consumer", move |ctx| {
+    sim.spawn("consumer", move |mut ctx| async move {
         let mut acc = 0_u64;
         for _ in 0..ITEMS {
-            acc = acc.wrapping_add(u64::from(r.read(ctx)));
+            acc = acc.wrapping_add(u64::from(r.read(&mut ctx).await));
         }
         std::hint::black_box(acc);
     });
@@ -89,9 +89,10 @@ fn main() {
     ];
     run_group(&format!("trace_overhead ({ITEMS} fifo items)"), &cases);
 
-    // The workload above is dominated by thread handoffs (~µs each), so
-    // the per-record cost drowns in scheduling noise. Measure the record
-    // path itself too: 1M events straight into each sink.
+    // The workload above is dominated by scheduling (one poll per
+    // channel access), so the per-record cost drowns in scheduling noise.
+    // Measure the record path itself too: 1M events straight into each
+    // sink.
     let mut interner = Interner::new();
     let label = interner.intern("fifo.write");
     let chan = interner.intern("ch");
@@ -129,14 +130,14 @@ fn main() {
     sim.enable_tracing_ring(1024);
     let f = sim.fifo::<u32>("ch", 16);
     let (w, r) = (f.clone(), f);
-    sim.spawn("producer", move |ctx| {
+    sim.spawn("producer", move |mut ctx| async move {
         for i in 0..ITEMS {
-            w.write(ctx, i);
+            w.write(&mut ctx, i).await;
         }
     });
-    sim.spawn("consumer", move |ctx| {
+    sim.spawn("consumer", move |mut ctx| async move {
         for _ in 0..ITEMS {
-            std::hint::black_box(r.read(ctx));
+            std::hint::black_box(r.read(&mut ctx).await);
         }
     });
     sim.run().expect("simulation runs");

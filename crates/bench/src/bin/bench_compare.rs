@@ -11,9 +11,11 @@
 //! `BENCH_estimator.json`) and a freshly produced run of the same bench
 //! (typically `--quick`, redirected via `SCPERF_OBS_DIR`). Absolute
 //! seconds are meaningless across hosts, so only the *scale-invariant
-//! ratio* metrics are compared: the handoff `speedup` and the
-//! estimator's `live_speedup`/`memoized_speedup`, which measure one
-//! code path against another on the same machine in the same run.
+//! ratio* metrics are compared: the kernel's `thread_ratio` (stackless
+//! activations/s over an OS-thread ping-pong), the parallel-evaluate
+//! and pool `speedup`s and the estimator's
+//! `live_speedup`/`memoized_speedup`, which measure one code path
+//! against another on the same machine in the same run.
 //!
 //! For every shared ratio metric the gate computes
 //! `current / baseline`; a value of 1.0 means the fresh run reproduces
@@ -29,8 +31,9 @@ use std::process::ExitCode;
 use scperf_serve::json::{parse, Json};
 
 /// Ratio-metric keys: higher is better, scale-invariant across hosts.
-const RATIO_KEYS: [&str; 5] = [
+const RATIO_KEYS: [&str; 6] = [
     "speedup",
+    "thread_ratio",
     "live_speedup",
     "memoized_speedup",
     "pool_speedup",

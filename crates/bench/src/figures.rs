@@ -27,14 +27,16 @@ pub fn figure1_2() -> (String, String) {
     {
         let ch1 = ch1.clone();
         let ch2 = ch2.clone();
-        sim.spawn("env", move |ctx| {
+        sim.spawn("env", move |mut ctx| async move {
             for i in 0..ITERS {
                 // Alternate the condition the process sees.
-                ch1.raw().write(ctx, if i % 2 == 0 { 5 } else { -5 });
+                ch1.raw()
+                    .write(&mut ctx, if i % 2 == 0 { 5 } else { -5 })
+                    .await;
                 if i % 2 == 0 {
-                    let _ = ch2.raw().read(ctx); // consume the conditional write
+                    let _ = ch2.raw().read(&mut ctx).await; // consume the conditional write
                 }
-                ch2.raw().write(ctx, i as i32); // value for ch2.read()
+                ch2.raw().write(&mut ctx, i as i32).await; // value for ch2.read()
             }
         });
     }
@@ -42,25 +44,25 @@ pub fn figure1_2() -> (String, String) {
     {
         let ch1 = ch1.clone();
         let ch2 = ch2.clone();
-        model.spawn(&mut sim, "process", cpu, move |ctx| {
+        model.spawn(&mut sim, "process", cpu, move |mut ctx| async move {
             let delay1 = Time::ns(500);
             for _ in 0..ITERS {
                 // code of segment S0-1 / S4-1 (common code omitted)
-                let v = g_i32(ch1.read(ctx)); // N1
+                let v = g_i32(ch1.read(&mut ctx).await); // N1
                 let mut acc = g_i32(0);
                 g_if!((v > 0) {
                     // code of segment S1-2
                     acc = acc + v * 3;
-                    ch2.write(ctx, acc.get()); // N2
+                    ch2.write(&mut ctx, acc.get()).await; // N2
                     // code of segment S2-3
                     acc = acc - 1;
                 });
                 // common code to S1-3 / S2-3
                 acc = acc + 7;
-                timed_wait(ctx, delay1); // N3
-                                         // code of segment S3-4
+                timed_wait(&mut ctx, delay1).await; // N3
+                                                    // code of segment S3-4
                 let _ = acc * 2;
-                let _ = ch2.read(ctx); // N4
+                let _ = ch2.read(&mut ctx).await; // N4
             }
         });
     }
@@ -282,25 +284,25 @@ pub fn figure5() -> (String, String) {
             }
             let _ = x;
         };
-        model.spawn(&mut sim, "P1", hw, move |ctx| {
+        model.spawn(&mut sim, "P1", hw, move |mut ctx| async move {
             for i in 1..=3_i32 {
                 burn(400); // sg4-like computation on HW
-                s1.write(ctx, i);
-                timed_wait(ctx, Time::ZERO); // delta separation, as in Fig. 5a
+                s1.write(&mut ctx, i).await;
+                timed_wait(&mut ctx, Time::ZERO).await; // delta separation, as in Fig. 5a
             }
         });
-        model.spawn(&mut sim, "P2", cpu, move |ctx| {
+        model.spawn(&mut sim, "P2", cpu, move |mut ctx| async move {
             for i in 1..=3_i32 {
                 burn(300); // sg1
-                s2.write(ctx, i);
-                timed_wait(ctx, Time::ZERO);
+                s2.write(&mut ctx, i).await;
+                timed_wait(&mut ctx, Time::ZERO).await;
             }
         });
-        model.spawn(&mut sim, "P3", cpu, move |ctx| {
+        model.spawn(&mut sim, "P3", cpu, move |mut ctx| async move {
             for i in 1..=3_i32 {
                 burn(500); // sg2
-                s3.write(ctx, i);
-                timed_wait(ctx, Time::ZERO);
+                s3.write(&mut ctx, i).await;
+                timed_wait(&mut ctx, Time::ZERO).await;
             }
         });
         sim.run().expect("figure 5 model runs");

@@ -51,11 +51,11 @@ pub struct DeterminismOutcome {
 /// let outcome = determinism::check(&platform, |sim, model| {
 ///     let ch = model.fifo::<i32>(sim, "c", 2);
 ///     let tx = ch.clone();
-///     model.spawn(sim, "producer", cpu, move |ctx| {
-///         tx.write(ctx, 42);
+///     model.spawn(sim, "producer", cpu, move |mut ctx| async move {
+///         tx.write(&mut ctx, 42).await;
 ///     });
-///     model.spawn(sim, "consumer", cpu, move |ctx| {
-///         let _ = ch.read(ctx);
+///     model.spawn(sim, "consumer", cpu, move |mut ctx| async move {
+///         let _ = ch.read(&mut ctx).await;
 ///     });
 /// })?;
 /// assert!(outcome.deterministic);
@@ -102,15 +102,15 @@ mod tests {
         let outcome = check(&platform, |sim, model| {
             let ch = model.fifo::<i64>(sim, "c", 2);
             let tx = ch.clone();
-            model.spawn(sim, "producer", cpu, move |ctx| {
+            model.spawn(sim, "producer", cpu, move |mut ctx| async move {
                 for i in 0..5 {
                     let v = crate::gval::g_i64(i) * 2;
-                    tx.write(ctx, v.get());
+                    tx.write(&mut ctx, v.get()).await;
                 }
             });
-            model.spawn(sim, "consumer", cpu, move |ctx| {
+            model.spawn(sim, "consumer", cpu, move |mut ctx| async move {
                 for _ in 0..5 {
-                    let _ = ch.read(ctx);
+                    let _ = ch.read(&mut ctx).await;
                 }
             });
         })
@@ -131,19 +131,19 @@ mod tests {
             let ch = model.fifo::<i64>(sim, "c", 4);
             let tx1 = ch.clone();
             let tx2 = ch.clone();
-            model.spawn(sim, "slow", cpu, move |ctx| {
+            model.spawn(sim, "slow", cpu, move |mut ctx| async move {
                 let mut acc = crate::gval::g_i64(0);
                 for i in 0..2000 {
                     acc = acc + i;
                 }
-                tx1.write(ctx, acc.get());
+                tx1.write(&mut ctx, acc.get()).await;
             });
-            model.spawn(sim, "fast", cpu2, move |ctx| {
-                tx2.write(ctx, -1);
+            model.spawn(sim, "fast", cpu2, move |mut ctx| async move {
+                tx2.write(&mut ctx, -1).await;
             });
-            model.spawn(sim, "consumer", cpu, move |ctx| {
-                let a = ch.read(ctx);
-                let b = ch.read(ctx);
+            model.spawn(sim, "consumer", cpu, move |mut ctx| async move {
+                let a = ch.read(&mut ctx).await;
+                let b = ch.read(&mut ctx).await;
                 ctx.emit_trace("order", format!("{a},{b}"));
             });
         })

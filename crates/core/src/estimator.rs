@@ -337,7 +337,31 @@ impl EstimatorShared {
 ///
 /// Returns the estimated segment time (zero for environment resources and
 /// unmapped processes).
-pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
+pub(crate) async fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
+    match close_segment(ctx, node) {
+        Some(seg) => back_annotate(ctx, seg).await,
+        None => Time::ZERO,
+    }
+}
+
+/// A closed segment awaiting back-annotation (§4, phase 4).
+struct ClosedSegment {
+    est: Arc<EstimatorShared>,
+    pid: usize,
+    resource: ResourceId,
+    kind: ResourceKind,
+    mode: Mode,
+    /// Segment plus RTOS time.
+    total: Time,
+    /// Simulated time at which the segment closed.
+    now: Time,
+}
+
+/// Phases 1–3 of [`end_segment`]: drains the finished segment, computes
+/// its annotated cycles and records the statistics. `None` for
+/// un-instrumented processes and environment resources, which
+/// back-annotate nothing.
+fn close_segment(ctx: &ProcCtx, node: u32) -> Option<ClosedSegment> {
     let _span = scperf_obs::profile::span("est.end_segment");
     // Phase 1: drain the thread-local accumulator (or, in replay mode,
     // pop the next recorded segment cost).
@@ -360,7 +384,7 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
             )
         })
     else {
-        return Time::ZERO; // un-instrumented process
+        return None; // un-instrumented process
     };
     let crate::tls::SegmentTake {
         acc,
@@ -374,7 +398,7 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
     } = take;
 
     if kind == ResourceKind::Environment {
-        return Time::ZERO;
+        return None;
     }
 
     // Phase 2: compute the segment's annotated cycle count. A replayed
@@ -475,8 +499,29 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
         crate::tls::recycle_dfg(dfg);
     }
 
-    // Phase 4: back-annotation (§4).
-    let total = seg_time + rtos_time;
+    Some(ClosedSegment {
+        est,
+        pid,
+        resource,
+        kind,
+        mode,
+        total: seg_time + rtos_time,
+        now,
+    })
+}
+
+/// Phase 4 of [`end_segment`]: back-annotation (§4). Returns the
+/// segment's total (segment plus RTOS) time.
+async fn back_annotate(ctx: &mut ProcCtx, seg: ClosedSegment) -> Time {
+    let ClosedSegment {
+        est,
+        pid,
+        resource,
+        kind,
+        mode,
+        total,
+        now,
+    } = seg;
     match (mode, kind) {
         (Mode::EstimateOnly, _) => {
             // Untimed run: account busy time but do not sleep.
@@ -493,7 +538,7 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
                 inner.busy_total[resource.index()] += total;
             }
             if !total.is_zero() {
-                ctx.wait(total);
+                ctx.wait(total).await;
             }
         }
         (Mode::StrictTimed, ResourceKind::Sequential) => {
@@ -513,7 +558,7 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
                 if free_at <= now {
                     break;
                 }
-                ctx.wait(free_at - now);
+                ctx.wait(free_at - now).await;
             }
             {
                 let mut inner = est.inner.lock();
@@ -540,7 +585,7 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
                 }
             }
             if !total.is_zero() {
-                ctx.wait(total);
+                ctx.wait(total).await;
             }
         }
         (Mode::StrictTimed, ResourceKind::Environment) => unreachable!(),

@@ -45,7 +45,7 @@
 //! let out = model.fifo::<i64>(&mut sim, "out", 8);
 //!
 //! let tx = out.clone();
-//! model.spawn(&mut sim, "dot", cpu, move |ctx| {
+//! model.spawn(&mut sim, "dot", cpu, move |mut ctx| async move {
 //!     let a = [1_i64, 2, 3, 4];
 //!     let b = [4_i64, 3, 2, 1];
 //!     let mut acc = g_i64(0);
@@ -54,10 +54,10 @@
 //!         let y = scperf_core::G::raw(b[i]);
 //!         acc = acc + x * y;
 //!     }
-//!     tx.write(ctx, acc.get());
+//!     tx.write(&mut ctx, acc.get()).await;
 //! });
-//! sim.spawn("sink", move |ctx| {
-//!     assert_eq!(out.read(ctx), 20);
+//! sim.spawn("sink", move |mut ctx| async move {
+//!     assert_eq!(out.read(&mut ctx).await, 20);
 //! });
 //! sim.run()?;
 //!

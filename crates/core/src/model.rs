@@ -8,9 +8,12 @@
 //! types, and the same model runs untimed ([`Mode::EstimateOnly`]) or
 //! strict-timed ([`Mode::StrictTimed`]) — no other change.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{Context, Poll};
 
-use scperf_kernel::{Fifo, ProcCtx, ProcId, Rendezvous, Signal, Simulator, Time};
+use scperf_kernel::{Fifo, ProcCtx, ProcId, ProcessBody, Rendezvous, Signal, Simulator, Time};
 
 use crate::capture::{CaptureList, CapturePoint};
 use crate::cost::OpCounts;
@@ -39,16 +42,16 @@ use crate::tls;
 /// let model = PerfModel::new(platform, Mode::StrictTimed);
 /// let ch = model.fifo::<i64>(&mut sim, "out", 4);
 /// let tx = ch.clone();
-/// model.spawn(&mut sim, "worker", cpu, move |ctx| {
+/// model.spawn(&mut sim, "worker", cpu, move |mut ctx| async move {
 ///     let mut acc = g_i64(0);
 ///     for i in 0..10 {
 ///         acc = acc + g_i64(i);
 ///     }
-///     tx.write(ctx, acc.get());
+///     tx.write(&mut ctx, acc.get()).await;
 /// });
 /// let rx = ch;
-/// sim.spawn("sink", move |ctx| {
-///     assert_eq!(rx.read(ctx), 45);
+/// sim.spawn("sink", move |mut ctx| async move {
+///     assert_eq!(rx.read(&mut ctx).await, 45);
 /// });
 /// sim.run()?;
 /// let report = model.report();
@@ -198,7 +201,7 @@ impl PerfModel {
     /// annotation of §2). The body runs with the estimation context
     /// installed, so `G`-typed operations are charged automatically and
     /// channel accesses become segment boundaries.
-    pub fn spawn<F>(
+    pub fn spawn<F, R, M>(
         &self,
         sim: &mut Simulator,
         name: impl Into<String>,
@@ -206,7 +209,8 @@ impl PerfModel {
         body: F,
     ) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(ProcCtx) -> R + Send + 'static,
+        R: ProcessBody<M>,
     {
         self.spawn_inner(sim, name.into(), resource, None, body)
     }
@@ -229,7 +233,7 @@ impl PerfModel {
     /// The spawned process panics (surfacing as
     /// [`scperf_kernel::SimError::ProcessPanic`]) if it reaches more
     /// segment boundaries than `replay` holds.
-    pub fn spawn_replaying<F>(
+    pub fn spawn_replaying<F, R, M>(
         &self,
         sim: &mut Simulator,
         name: impl Into<String>,
@@ -238,37 +242,13 @@ impl PerfModel {
         body: F,
     ) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(ProcCtx) -> R + Send + 'static,
+        R: ProcessBody<M>,
     {
         self.spawn_inner(sim, name.into(), resource, Some(replay), body)
     }
 
-    /// Deprecated shim forwarding to [`PerfModel::spawn_replaying`].
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `PerfModel::spawn_replaying` with a `Replay` handle"
-    )]
-    pub fn spawn_replay<F>(
-        &self,
-        sim: &mut Simulator,
-        name: impl Into<String>,
-        resource: ResourceId,
-        trace: Arc<Vec<f64>>,
-        body: F,
-    ) -> ProcId
-    where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
-    {
-        self.spawn_inner(
-            sim,
-            name.into(),
-            resource,
-            Some(Replay::from_arc(trace)),
-            body,
-        )
-    }
-
-    fn spawn_inner<F>(
+    fn spawn_inner<F, R, M>(
         &self,
         sim: &mut Simulator,
         name: String,
@@ -277,71 +257,21 @@ impl PerfModel {
         body: F,
     ) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(ProcCtx) -> R + Send + 'static,
+        R: ProcessBody<M>,
     {
         let est = Arc::clone(&self.est);
         let reg_name = name.clone();
-        let pid = sim.spawn(name, move |ctx| {
-            let (kind, costs, k, rtos_cycles, legacy, memo, record_dfgs, warm) = {
-                let inner = est.inner.lock();
-                let r = inner.platform.resource(resource);
-                (
-                    r.kind,
-                    tls::dense_costs(&r.costs),
-                    r.k,
-                    r.rtos_cycles,
-                    inner.legacy_charging,
-                    inner.memo_mode,
-                    inner.record_dfgs,
-                    inner.warm_programs.clone(),
-                )
-            };
-            let record_dfgs =
-                replay.is_none() && record_dfgs && kind == crate::resource::ResourceKind::Parallel;
-            tls::install(tls::ThreadCtx {
-                est: Arc::clone(&est),
-                pid: ctx.pid().index(),
-                resource,
-                kind,
-                costs,
-                k,
-                rtos_cycles,
-                acc: 0.0,
-                counts: OpCounts::new(),
-                max_ready: 0.0,
-                dfg: record_dfgs.then(Dfg::default),
-                current_node: crate::estimator::NODE_ENTRY,
-                replay: replay.map(|r| {
-                    let (trace, detail) = r.into_cursor_parts();
-                    tls::ReplayCursor {
-                        trace,
-                        detail,
-                        next: 0,
-                    }
-                }),
-                legacy,
-                memo,
-                progs: ProgStore::with_warm(warm),
-                rec_events: Vec::new(),
-                rec_depth: 0,
-                dfg_spare: Vec::new(),
-                cp_scratch: Vec::new(),
-            });
-            body(ctx);
-            // The process-exit statement is a node (§2): flush the final
-            // segment and back-annotate it.
-            end_segment(ctx, crate::estimator::NODE_EXIT);
-            if let Some(mut t) = tls::uninstall() {
-                // Harvest the programs this process recorded (and its
-                // warm-set accounting) into the shared estimator, so the
-                // session can publish one merged set.
-                let fresh = t.progs.take_fresh();
-                let warm_hits = t.progs.warm_hits;
-                let rejects = t.progs.rejects;
-                if !fresh.is_empty() || warm_hits > 0 || rejects > 0 {
-                    est.harvest_programs(fingerprint_costs(&t.costs), fresh, warm_hits, rejects);
-                }
-            }
+        let pid = sim.spawn(name, move |ctx: ProcCtx| {
+            let mut exit_ctx = ctx.clone();
+            WithEstimation::new(async move {
+                install_context(&est, exit_ctx.pid().index(), resource, replay);
+                body(ctx).into_process_future().await;
+                // The process-exit statement is a node (§2): flush the
+                // final segment and back-annotate it.
+                end_segment(&mut exit_ctx, crate::estimator::NODE_EXIT).await;
+                uninstall_context(&est);
+            })
         });
         self.est.register_process(pid.index(), reg_name, resource);
         pid
@@ -601,18 +531,88 @@ impl std::fmt::Debug for PerfModel {
     }
 }
 
+/// Installs the estimation context of process `pid` mapped to
+/// `resource` into the calling thread's slots (at the process's first
+/// poll).
+fn install_context(
+    est: &Arc<EstimatorShared>,
+    pid: usize,
+    resource: ResourceId,
+    replay: Option<Replay>,
+) {
+    let (kind, costs, k, rtos_cycles, legacy, memo, record_dfgs, warm) = {
+        let inner = est.inner.lock();
+        let r = inner.platform.resource(resource);
+        (
+            r.kind,
+            tls::dense_costs(&r.costs),
+            r.k,
+            r.rtos_cycles,
+            inner.legacy_charging,
+            inner.memo_mode,
+            inner.record_dfgs,
+            inner.warm_programs.clone(),
+        )
+    };
+    let record_dfgs =
+        replay.is_none() && record_dfgs && kind == crate::resource::ResourceKind::Parallel;
+    tls::install(tls::ThreadCtx {
+        est: Arc::clone(est),
+        pid,
+        resource,
+        kind,
+        costs,
+        k,
+        rtos_cycles,
+        acc: 0.0,
+        counts: OpCounts::new(),
+        max_ready: 0.0,
+        dfg: record_dfgs.then(Dfg::default),
+        current_node: crate::estimator::NODE_ENTRY,
+        replay: replay.map(|r| {
+            let (trace, detail) = r.into_cursor_parts();
+            tls::ReplayCursor {
+                trace,
+                detail,
+                next: 0,
+            }
+        }),
+        legacy,
+        memo,
+        progs: ProgStore::with_warm(warm),
+        rec_events: Vec::new(),
+        rec_depth: 0,
+        dfg_spare: Vec::new(),
+        cp_scratch: Vec::new(),
+    });
+}
+
+/// Removes the finished process's context and harvests the programs it
+/// recorded (and its warm-set accounting) into the shared estimator, so
+/// the session can publish one merged set.
+fn uninstall_context(est: &EstimatorShared) {
+    if let Some(mut t) = tls::uninstall() {
+        let fresh = t.progs.take_fresh();
+        let warm_hits = t.progs.warm_hits;
+        let rejects = t.progs.rejects;
+        if !fresh.is_empty() || warm_hits > 0 || rejects > 0 {
+            est.harvest_programs(fingerprint_costs(&t.costs), fresh, warm_hits, rejects);
+        }
+    }
+}
+
 /// A timed wait that is also a segment boundary (§2: timing `wait`
 /// statements are nodes). For analyzed processes the preceding segment is
 /// back-annotated first, then the explicit `delay` elapses; for
-/// un-instrumented processes this is a plain `ctx.wait(delay)`.
-pub fn timed_wait(ctx: &mut ProcCtx, delay: Time) {
-    end_segment(ctx, NODE_WAIT);
-    ctx.wait(delay);
+/// un-instrumented processes this is a plain `ctx.wait(delay).await`.
+pub async fn timed_wait(ctx: &mut ProcCtx, delay: Time) {
+    end_segment(ctx, NODE_WAIT).await;
+    ctx.wait(delay).await;
 }
 
 /// Like [`timed_wait`] but with a distinct node label, so different wait
 /// sites appear as different nodes in the process graph.
-pub fn timed_wait_labeled(ctx: &mut ProcCtx, delay: Time, label: &str) {
+pub async fn timed_wait_labeled(ctx: &mut ProcCtx, delay: Time, label: &str) {
     let node = match tls::with(|t| Arc::clone(&t.est)) {
         Some(est) => {
             // Node ids are handed out first-come-first-served; fence so
@@ -623,8 +623,8 @@ pub fn timed_wait_labeled(ctx: &mut ProcCtx, delay: Time, label: &str) {
         }
         None => NODE_WAIT,
     };
-    end_segment(ctx, node);
-    ctx.wait(delay);
+    end_segment(ctx, node).await;
+    ctx.wait(delay).await;
 }
 
 /// An instrumented FIFO: a [`Fifo`] whose endpoints are segment boundaries.
@@ -647,15 +647,15 @@ impl<T> Clone for PFifo<T> {
 
 impl<T: Send + std::fmt::Debug + 'static> PFifo<T> {
     /// Blocking read; ends the current segment first.
-    pub fn read(&self, ctx: &mut ProcCtx) -> T {
-        end_segment(ctx, self.read_node);
-        self.inner.read(ctx)
+    pub async fn read(&self, ctx: &mut ProcCtx) -> T {
+        end_segment(ctx, self.read_node).await;
+        self.inner.read(ctx).await
     }
 
     /// Blocking write; ends the current segment first.
-    pub fn write(&self, ctx: &mut ProcCtx, value: T) {
-        end_segment(ctx, self.write_node);
-        self.inner.write(ctx, value);
+    pub async fn write(&self, ctx: &mut ProcCtx, value: T) {
+        end_segment(ctx, self.write_node).await;
+        self.inner.write(ctx, value).await;
     }
 
     /// The underlying kernel channel.
@@ -689,8 +689,8 @@ impl<T: Send + Clone + PartialEq + std::fmt::Debug + 'static> PSignal<T> {
     }
 
     /// Writes the signal; ends the current segment first.
-    pub fn write(&self, ctx: &mut ProcCtx, value: T) {
-        end_segment(ctx, self.write_node);
+    pub async fn write(&self, ctx: &mut ProcCtx, value: T) {
+        end_segment(ctx, self.write_node).await;
         self.inner.write(ctx, value);
     }
 
@@ -720,19 +720,96 @@ impl<T> Clone for PRendezvous<T> {
 
 impl<T: Send + std::fmt::Debug + 'static> PRendezvous<T> {
     /// Blocking read; ends the current segment first.
-    pub fn read(&self, ctx: &mut ProcCtx) -> T {
-        end_segment(ctx, self.read_node);
-        self.inner.read(ctx)
+    pub async fn read(&self, ctx: &mut ProcCtx) -> T {
+        end_segment(ctx, self.read_node).await;
+        self.inner.read(ctx).await
     }
 
     /// Blocking write; ends the current segment first.
-    pub fn write(&self, ctx: &mut ProcCtx, value: T) {
-        end_segment(ctx, self.write_node);
-        self.inner.write(ctx, value);
+    pub async fn write(&self, ctx: &mut ProcCtx, value: T) {
+        end_segment(ctx, self.write_node).await;
+        self.inner.write(ctx, value).await;
     }
 
     /// The underlying kernel channel.
     pub fn raw(&self) -> &Rendezvous<T> {
         &self.inner
+    }
+}
+
+/// An analyzed process's future: polls the body with exactly this
+/// process's estimation context in the thread-local slots. Each poll
+/// restores the context stashed when the previous poll suspended and
+/// stashes it again when the poll returns (normally or by unwinding), so
+/// any number of processes can be polled on one thread — or on the
+/// workers of a parallel round — without seeing each other's
+/// accumulators.
+struct WithEstimation<Fut> {
+    /// `None` once dropped early (see `Drop`).
+    body: Option<Pin<Box<Fut>>>,
+    /// The context between polls; `None` before the first poll and
+    /// after the process uninstalled it.
+    stashed: Option<tls::Stashed>,
+}
+
+impl<Fut> WithEstimation<Fut> {
+    fn new(body: Fut) -> WithEstimation<Fut> {
+        WithEstimation {
+            body: Some(Box::pin(body)),
+            stashed: None,
+        }
+    }
+}
+
+/// Swaps a process's context into the thread-local slots for the
+/// lifetime of the guard, and back out (restoring whatever the thread
+/// had before) when it drops.
+struct Resumed<'a> {
+    slot: &'a mut Option<tls::Stashed>,
+    outer: Option<tls::Stashed>,
+}
+
+impl<'a> Resumed<'a> {
+    fn enter(slot: &'a mut Option<tls::Stashed>) -> Resumed<'a> {
+        let outer = tls::stash();
+        if let Some(ctx) = slot.take() {
+            tls::restore(ctx);
+        }
+        Resumed { slot, outer }
+    }
+}
+
+impl Drop for Resumed<'_> {
+    fn drop(&mut self) {
+        *self.slot = tls::stash();
+        if let Some(outer) = self.outer.take() {
+            tls::restore(outer);
+        }
+    }
+}
+
+impl<Fut: Future<Output = ()>> Future for WithEstimation<Fut> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let _resumed = Resumed::enter(&mut this.stashed);
+        this.body
+            .as_mut()
+            .expect("an analyzed process is not polled after being dropped")
+            .as_mut()
+            .poll(cx)
+    }
+}
+
+impl<Fut> Drop for WithEstimation<Fut> {
+    fn drop(&mut self) {
+        // A process dropped while suspended (simulator reset or drop):
+        // its locals' destructors — site guards among them — must see
+        // its own context, exactly as if it were running.
+        if let Some(body) = self.body.take() {
+            let _resumed = Resumed::enter(&mut self.stashed);
+            drop(body);
+        }
     }
 }

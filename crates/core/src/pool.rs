@@ -190,7 +190,6 @@ impl Snapshot {
             .legacy_charging(self.knobs.legacy_charging)
             .site_memo(self.knobs.site_memo)
             .jobs(self.knobs.jobs)
-            .handoff(self.knobs.handoff)
             .tracing(self.knobs.tracing);
         if self.knobs.record_costs {
             config = config.record_costs();
@@ -209,7 +208,7 @@ impl Snapshot {
 
     /// Stamps the snapshot into an existing (pooled) session slot:
     /// resets the slot and installs the snapshot's platform. The slot
-    /// keeps its own kernel knobs (jobs, handoff) — pool slots are
+    /// keeps its own kernel knobs (jobs, tracing) — pool slots are
     /// homogeneous by construction, so these already match. Elaborate
     /// the scenario with [`Snapshot::replay`] traces to skip live
     /// estimation.
@@ -244,7 +243,7 @@ pub struct SessionPool {
 impl SessionPool {
     /// Creates a pool of up to `limits.max_sessions` slots, each built
     /// on first use by `build`. The factory fixes the slots' kernel
-    /// configuration (jobs, handoff, tracing); per-scenario variation —
+    /// configuration (jobs, tracing); per-scenario variation —
     /// platform parameters, replays — is stamped in at acquisition.
     pub fn new(
         limits: InstanceLimits,
@@ -489,15 +488,15 @@ mod tests {
     fn elaborate(session: &mut Session, cpu: ResourceId) {
         let ch = session.fifo::<i64>("out", 2);
         let tx = ch.clone();
-        session.spawn("worker", cpu, move |ctx| {
+        session.spawn("worker", cpu, move |mut ctx| async move {
             let mut acc = g_i64(0);
             for i in 0..16 {
                 acc = acc + g_i64(i) * g_i64(3);
             }
-            tx.write(ctx, acc.get());
+            tx.write(&mut ctx, acc.get()).await;
         });
-        session.spawn_untimed("sink", move |ctx| {
-            let _ = ch.read(ctx);
+        session.spawn_untimed("sink", move |mut ctx| async move {
+            let _ = ch.read(&mut ctx).await;
         });
     }
 
@@ -545,11 +544,11 @@ mod tests {
         let replay = snapshot.replay("worker").expect("recorded");
         let ch = fork.fifo::<i64>("out", 2);
         let tx = ch.clone();
-        fork.spawn_replaying("worker", cpu, replay, move |ctx| {
-            tx.write(ctx, 360);
+        fork.spawn_replaying("worker", cpu, replay, move |mut ctx| async move {
+            tx.write(&mut ctx, 360).await;
         });
-        fork.spawn_untimed("sink", move |ctx| {
-            let _ = ch.read(ctx);
+        fork.spawn_untimed("sink", move |mut ctx| async move {
+            let _ = ch.read(&mut ctx).await;
         });
         let replayed = fork.run().unwrap();
         assert_eq!(replayed, live);

@@ -4,7 +4,8 @@
 //!
 //! This replaces the historical ad-hoc trio
 //! `PerfModel::record_segment_costs` / `PerfModel::segment_cost_trace` /
-//! `PerfModel::spawn_replay` (kept as deprecated shims): recording is
+//! `PerfModel::spawn_replay` (the first two kept as deprecated shims;
+//! `spawn_replay` is gone): recording is
 //! now a capability you *hold* — a [`Recorder`] handle obtained before
 //! the run — and a captured trace is a first-class [`Replay`] value that
 //! can be cached, cloned cheaply and handed to

@@ -40,7 +40,7 @@
 use std::sync::Arc;
 
 use scperf_kernel::{
-    HandoffKind, ProcCtx, ProcId, SimError, SimOptions, SimSummary, Simulator, Time, TraceMode,
+    ProcCtx, ProcId, ProcessBody, SimError, SimOptions, SimSummary, Simulator, Time, TraceMode,
 };
 use scperf_obs::{MetricsSnapshot, TraceSink, TraceTable};
 
@@ -54,12 +54,12 @@ use crate::resource::{Platform, ResourceId};
 use crate::site::MemoMode;
 
 /// Declarative configuration of one simulation: the kernel half
-/// (handoff protocol, trace sink) plus the estimation half (platform,
+/// (parallelism degree, trace sink) plus the estimation half (platform,
 /// mode, recording options). [`SimConfig::build`] turns it into a
 /// [`Session`].
 ///
-/// Defaults: empty platform, [`Mode::StrictTimed`], default handoff
-/// ([`HandoffKind::default_kind`]), no tracing, no recording.
+/// Defaults: empty platform, [`Mode::StrictTimed`], `jobs = 1`, no
+/// tracing, no recording.
 #[derive(Debug)]
 pub struct SimConfig {
     options: SimOptions,
@@ -92,7 +92,6 @@ pub(crate) struct SessionKnobs {
     pub(crate) record_dfgs: bool,
     pub(crate) tracing: TraceMode,
     pub(crate) jobs: usize,
-    pub(crate) handoff: HandoffKind,
     pub(crate) run_limit: Option<Time>,
 }
 
@@ -154,13 +153,6 @@ impl SimConfig {
     /// Sets the estimation mode (default [`Mode::StrictTimed`]).
     pub fn mode(mut self, mode: Mode) -> SimConfig {
         self.mode = mode;
-        self
-    }
-
-    /// Selects the scheduler↔process handoff protocol (replaces the
-    /// deprecated `Simulator::with_handoff`).
-    pub fn handoff(mut self, kind: HandoffKind) -> SimConfig {
-        self.options = self.options.handoff(kind);
         self
     }
 
@@ -274,7 +266,6 @@ impl SimConfig {
             record_dfgs: self.record_dfgs,
             tracing: self.tracing_mode,
             jobs: sim.jobs(),
-            handoff: sim.handoff_kind(),
             run_limit: self.run_limit,
         };
         Session {
@@ -307,16 +298,22 @@ pub struct Session {
 impl Session {
     /// Spawns an analyzed process mapped to `resource`
     /// (see [`PerfModel::spawn`]).
-    pub fn spawn<F>(&mut self, name: impl Into<String>, resource: ResourceId, body: F) -> ProcId
+    pub fn spawn<F, R, M>(
+        &mut self,
+        name: impl Into<String>,
+        resource: ResourceId,
+        body: F,
+    ) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(ProcCtx) -> R + Send + 'static,
+        R: ProcessBody<M>,
     {
         self.model.spawn(&mut self.sim, name, resource, body)
     }
 
     /// Spawns a process that replays a recorded segment-cost trace
     /// instead of estimating live (see [`PerfModel::spawn_replaying`]).
-    pub fn spawn_replaying<F>(
+    pub fn spawn_replaying<F, R, M>(
         &mut self,
         name: impl Into<String>,
         resource: ResourceId,
@@ -324,7 +321,8 @@ impl Session {
         body: F,
     ) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(ProcCtx) -> R + Send + 'static,
+        R: ProcessBody<M>,
     {
         self.model
             .spawn_replaying(&mut self.sim, name, resource, replay, body)
@@ -332,9 +330,10 @@ impl Session {
 
     /// Spawns an un-analyzed (environment/testbench) process directly on
     /// the kernel: no resource mapping, no charging.
-    pub fn spawn_untimed<F>(&mut self, name: impl Into<String>, body: F) -> ProcId
+    pub fn spawn_untimed<F, R, M>(&mut self, name: impl Into<String>, body: F) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(ProcCtx) -> R + Send + 'static,
+        R: ProcessBody<M>,
     {
         self.sim.spawn(name, body)
     }
@@ -451,7 +450,7 @@ impl Session {
     }
 
     /// One merged metrics snapshot: kernel counters (deltas, context
-    /// switches, channel accesses, handoff latency) plus estimator
+    /// switches, channel accesses, resume latency) plus estimator
     /// counters (segments, annotated ops, busy/RTOS time).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut m = self.sim.metrics();
@@ -469,7 +468,7 @@ impl Session {
     /// be reused without rebuilding: process threads are joined, kernel
     /// queues and the timer wheel are rebuilt, estimator records and
     /// capture lists are cleared, and simulation time is back at zero.
-    /// Configuration (mode, jobs, handoff protocol, recording flags,
+    /// Configuration (mode, jobs, recording flags,
     /// attribution, run limit, tracing mode) is retained; a custom
     /// trace sink installed via [`SimConfig::trace_sink`] is the one
     /// thing that cannot be restored and is dropped. Elaborate the next
@@ -557,15 +556,15 @@ mod tests {
         let mut session = SimConfig::new().platform(platform).build();
         let ch = session.fifo::<i64>("out", 2);
         let tx = ch.clone();
-        session.spawn("worker", cpu, move |ctx| {
+        session.spawn("worker", cpu, move |mut ctx| async move {
             let mut acc = g_i64(0);
             for i in 0..5 {
                 acc = acc + g_i64(i);
             }
-            tx.write(ctx, acc.get());
+            tx.write(&mut ctx, acc.get()).await;
         });
-        session.spawn_untimed("sink", move |ctx| {
-            assert_eq!(ch.read(ctx), 10);
+        session.spawn_untimed("sink", move |mut ctx| async move {
+            assert_eq!(ch.read(&mut ctx).await, 10);
         });
         let summary = session.run().unwrap();
         assert!(summary.end_time > Time::ZERO);
@@ -613,8 +612,8 @@ mod tests {
             .platform(platform)
             .run_limit(Time::ns(7))
             .build();
-        session.spawn("p", cpu, |ctx| {
-            crate::model::timed_wait(ctx, Time::us(1));
+        session.spawn("p", cpu, |mut ctx| async move {
+            crate::model::timed_wait(&mut ctx, Time::us(1)).await;
         });
         let summary = session.run().unwrap();
         assert_eq!(summary.end_time, Time::ns(7));
@@ -676,18 +675,18 @@ mod tests {
             let tx = ch.clone();
             // Two workers sharing cpu0: the second queues behind the
             // first at every segment boundary.
-            session.spawn("wa", cpu, move |ctx| {
+            session.spawn("wa", cpu, move |mut ctx| async move {
                 for i in 0..6 {
                     let mut acc = g_i64(0);
                     for j in 0..8 {
                         acc = acc + g_i64(i * j);
                     }
-                    tx.write(ctx, acc.get());
+                    tx.write(&mut ctx, acc.get()).await;
                 }
             });
-            session.spawn("wb", cpu, move |ctx| {
+            session.spawn("wb", cpu, move |mut ctx| async move {
                 for _ in 0..6 {
-                    let _ = ch.read(ctx);
+                    let _ = ch.read(&mut ctx).await;
                 }
             });
             let summary = session.run().unwrap();
@@ -740,7 +739,7 @@ mod tests {
             .platform(platform)
             .tracing(TraceMode::Unbounded)
             .build();
-        session.spawn("w", cpu, |ctx| {
+        session.spawn("w", cpu, |mut ctx| async move {
             ctx.emit_trace("mark", "1");
         });
         session.run().unwrap();

@@ -1,11 +1,15 @@
 //! Per-process estimation context.
 //!
 //! The paper's library works by *implicitly* intercepting every overloaded
-//! operator executed by the running process. Because this kernel runs each
-//! simulated process on its own OS thread, a `thread_local!` slot is the
-//! exact analogue: [`crate::PerfModel::spawn`] installs the context before
-//! the process body runs, the annotated [`crate::G`] types charge into it,
-//! and the channel wrappers drain it at every segment boundary.
+//! operator executed by the running process. The kernel polls one process
+//! at a time per thread, so a `thread_local!` slot holding *the polled
+//! process's* context is the exact analogue: [`crate::PerfModel::spawn`]
+//! installs the context when the process first runs, the annotated
+//! [`crate::G`] types charge into it, and the channel wrappers drain it at
+//! every segment boundary. Between polls the context is moved out of the
+//! slots ([`stash`]) into the process's future and moved back in
+//! ([`restore`]) when the scheduler polls it again, so every process sees
+//! exactly its own accumulators whichever thread polls it.
 //!
 //! # The two-tier layout
 //!
@@ -282,6 +286,70 @@ pub(crate) fn uninstall() -> Option<ThreadCtx> {
         f.state.set(S_ABSENT);
     });
     Some(ctx)
+}
+
+/// A suspended process's estimation state: both context tiers, moved
+/// verbatim out of the thread-local slots.
+pub(crate) struct Stashed {
+    ctx: ThreadCtx,
+    fast: FastCopy,
+}
+
+/// A verbatim copy of [`FastSlots`].
+struct FastCopy {
+    state: u8,
+    memo: u8,
+    seg_gen: u32,
+    acc: f64,
+    max_ready: f64,
+    costs: [f64; OP_COUNT],
+    counts: [u64; OP_COUNT],
+    site_hits: u64,
+    site_misses: u64,
+}
+
+/// Moves the installed context, if any, out of this thread's slots and
+/// leaves them absent. Unlike [`uninstall`] nothing is folded or reset:
+/// [`restore`] puts back exactly what was taken.
+pub(crate) fn stash() -> Option<Stashed> {
+    if FAST.with(|f| f.state.get()) == S_ABSENT {
+        return None;
+    }
+    let ctx = CTX.with(|slot| slot.borrow_mut().take())?;
+    let fast = FAST.with(|f| FastCopy {
+        state: f.state.replace(S_ABSENT),
+        memo: f.memo.replace(MEMO_OFF),
+        seg_gen: f.seg_gen.get(),
+        acc: f.acc.replace(0.0),
+        max_ready: f.max_ready.replace(0.0),
+        costs: std::array::from_fn(|i| f.costs[i].get()),
+        counts: std::array::from_fn(|i| f.counts[i].replace(0)),
+        site_hits: f.site_hits.replace(0),
+        site_misses: f.site_misses.replace(0),
+    });
+    Some(Stashed { ctx, fast })
+}
+
+/// Puts a [`stash`]ed context back into this thread's (absent) slots.
+/// Unlike [`install`] nothing is re-derived: the warm-set check and the
+/// slot initialization already ran when the process first installed.
+pub(crate) fn restore(stashed: Stashed) {
+    let Stashed { ctx, fast } = stashed;
+    FAST.with(|f| {
+        debug_assert_eq!(f.state.get(), S_ABSENT, "estimation context restored twice");
+        f.state.set(fast.state);
+        f.memo.set(fast.memo);
+        f.seg_gen.set(fast.seg_gen);
+        f.acc.set(fast.acc);
+        f.max_ready.set(fast.max_ready);
+        for i in 0..OP_COUNT {
+            f.costs[i].set(fast.costs[i]);
+            f.counts[i].set(fast.counts[i]);
+        }
+        f.site_hits.set(fast.site_hits);
+        f.site_misses.set(fast.site_misses);
+    });
+    CTX.with(|slot| *slot.borrow_mut() = Some(ctx));
 }
 
 /// Runs `f` with the installed context, if any. Returns `None` when the
@@ -759,6 +827,24 @@ mod tests {
             let take = with(|c| c.take_segment()).expect("installed");
             assert_eq!(take.acc, 1.0);
             assert_eq!(take.fast_ops, 1);
+        });
+    }
+
+    #[test]
+    fn stash_and_restore_move_both_tiers_verbatim() {
+        let table = CostTable::from_pairs([(Op::Add, 1.5)]);
+        let _ = with_test_ctx(ResourceKind::Sequential, table, false, || {
+            charge_op(Op::Add);
+            let stashed = stash().expect("installed");
+            // Absent while stashed: charging is a no-op.
+            charge_op(Op::Add);
+            assert!(stash().is_none());
+            assert!(with(|_| ()).is_none());
+            restore(stashed);
+            charge_op(Op::Add);
+            let take = with(|c| c.take_segment()).expect("restored");
+            assert_eq!(take.acc, 3.0);
+            assert_eq!(take.counts.get(Op::Add), 2);
         });
     }
 

@@ -25,17 +25,17 @@ fn rendezvous_wrapper_marks_segments_and_synchronizes() {
     let model = PerfModel::new(platform, Mode::StrictTimed);
     let ch = model.rendezvous::<i32>(&mut sim, "sync");
     let (w, r) = (ch.clone(), ch);
-    model.spawn(&mut sim, "writer", cpu, move |ctx| {
+    model.spawn(&mut sim, "writer", cpu, move |mut ctx| async move {
         for i in 0..5 {
             for _ in 0..100 {
                 charge_op(Op::Add);
             }
-            w.write(ctx, i);
+            w.write(&mut ctx, i).await;
         }
     });
-    sim.spawn("reader", move |ctx| {
+    sim.spawn("reader", move |mut ctx| async move {
         for i in 0..5 {
-            assert_eq!(r.read(ctx), i);
+            assert_eq!(r.read(&mut ctx).await, i);
         }
     });
     sim.run().unwrap();
@@ -56,17 +56,17 @@ fn signal_wrapper_write_is_a_node_but_read_is_not() {
     let model = PerfModel::new(platform, Mode::StrictTimed);
     let s = model.signal(&mut sim, "level", 0_i32);
     let sw = s.clone();
-    model.spawn(&mut sim, "driver", cpu, move |ctx| {
+    model.spawn(&mut sim, "driver", cpu, move |mut ctx| async move {
         for _ in 0..50 {
             charge_op(Op::Add);
         }
-        sw.write(ctx, 7);
+        sw.write(&mut ctx, 7).await;
         // Reads do not end segments.
         let _ = sw.read();
         for _ in 0..30 {
             charge_op(Op::Add);
         }
-        timed_wait(ctx, Time::ZERO);
+        timed_wait(&mut ctx, Time::ZERO).await;
     });
     sim.run().unwrap();
     let report = model.report();
@@ -83,13 +83,13 @@ fn labeled_waits_become_distinct_nodes() {
     let (platform, cpu) = one_cpu_platform();
     let mut sim = Simulator::new();
     let model = PerfModel::new(platform, Mode::StrictTimed);
-    model.spawn(&mut sim, "p", cpu, move |ctx| {
+    model.spawn(&mut sim, "p", cpu, move |mut ctx| async move {
         for _ in 0..3 {
             charge_op(Op::Add);
-            timed_wait_labeled(ctx, Time::ns(5), "phase_a");
+            timed_wait_labeled(&mut ctx, Time::ns(5), "phase_a").await;
             charge_op(Op::Add);
             charge_op(Op::Add);
-            timed_wait_labeled(ctx, Time::ns(5), "phase_b");
+            timed_wait_labeled(&mut ctx, Time::ns(5), "phase_b").await;
         }
     });
     sim.run().unwrap();
@@ -113,10 +113,10 @@ fn capture_csv_and_matlab_round_trip() {
     let model = PerfModel::new(platform, Mode::StrictTimed);
     let cp = model.capture_point("sample");
     let cp2 = cp.clone();
-    model.spawn(&mut sim, "p", cpu, move |ctx| {
+    model.spawn(&mut sim, "p", cpu, move |mut ctx| async move {
         for i in 0..4 {
-            timed_wait(ctx, Time::us(1));
-            cp2.capture_value_if(ctx, i % 2 == 0, i as f64);
+            timed_wait(&mut ctx, Time::us(1)).await;
+            cp2.capture_value_if(&ctx, i % 2 == 0, i as f64);
         }
     });
     sim.run().unwrap();
@@ -151,19 +151,19 @@ fn instrumented_fifo_between_sw_and_hw_processes() {
     let model = PerfModel::new(platform, Mode::StrictTimed);
     let ch = model.fifo::<i32>(&mut sim, "data", 2);
     let (tx, rx) = (ch.clone(), ch);
-    model.spawn(&mut sim, "producer_sw", cpu, move |ctx| {
+    model.spawn(&mut sim, "producer_sw", cpu, move |mut ctx| async move {
         for i in 0..10 {
             let mut v = g_i32(i);
             for _ in 0..100 {
                 v = v + 0;
             }
-            tx.write(ctx, v.get());
+            tx.write(&mut ctx, v.get()).await;
         }
     });
-    model.spawn(&mut sim, "consumer_hw", hw, move |ctx| {
+    model.spawn(&mut sim, "consumer_hw", hw, move |mut ctx| async move {
         let mut sum = g_i32(0);
         for _ in 0..10 {
-            sum = sum + rx.read(ctx);
+            sum = sum + rx.read(&mut ctx).await;
         }
         assert_eq!(sum.get(), 45);
     });
@@ -189,13 +189,13 @@ fn vcd_export_from_an_instrumented_model() {
     let model = PerfModel::new(platform, Mode::StrictTimed);
     let s = model.signal(&mut sim, "beat", 0_i32);
     let sw = s.clone();
-    model.spawn(&mut sim, "p", cpu, move |ctx| {
+    model.spawn(&mut sim, "p", cpu, move |mut ctx| async move {
         for i in 1..=3 {
             for _ in 0..100 {
                 charge_op(Op::Add);
             }
-            sw.write(ctx, i);
-            timed_wait(ctx, Time::ZERO);
+            sw.write(&mut ctx, i).await;
+            timed_wait(&mut ctx, Time::ZERO).await;
         }
     });
     sim.run().unwrap();
@@ -213,12 +213,12 @@ fn report_and_instantaneous_csv_exports() {
     let mut sim = Simulator::new();
     let model = PerfModel::new(platform, Mode::StrictTimed);
     model.record_instantaneous();
-    model.spawn(&mut sim, "p", cpu, move |ctx| {
+    model.spawn(&mut sim, "p", cpu, move |mut ctx| async move {
         for n in [5_u64, 9] {
             for _ in 0..n {
                 charge_op(Op::Add);
             }
-            timed_wait(ctx, Time::ZERO);
+            timed_wait(&mut ctx, Time::ZERO).await;
         }
     });
     sim.run().unwrap();

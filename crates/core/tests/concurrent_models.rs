@@ -35,17 +35,17 @@ fn run_pipeline(seed: u64) -> (Time, f64, f64) {
     let fifo = model.fifo::<u64>(&mut sim, "frames", 2);
 
     let tx = fifo.clone();
-    model.spawn(&mut sim, "producer", cpu, move |ctx| {
+    model.spawn(&mut sim, "producer", cpu, move |mut ctx| async move {
         for i in 0..4_u64 {
             burn(100 + seed % 7 + i);
-            tx.write(ctx, i);
+            tx.write(&mut ctx, i).await;
         }
     });
-    model.spawn(&mut sim, "consumer", cpu, move |ctx| {
+    model.spawn(&mut sim, "consumer", cpu, move |mut ctx| async move {
         for _ in 0..4 {
-            let v = fifo.read(ctx);
+            let v = fifo.read(&mut ctx).await;
             burn(50 + v);
-            timed_wait(ctx, Time::ns(30));
+            timed_wait(&mut ctx, Time::ns(30)).await;
         }
     });
 
@@ -78,8 +78,9 @@ fn concurrent_models_match_sequential_oracle() {
 fn nested_simulation_on_a_process_thread_is_isolated() {
     // A process body that itself constructs and runs an inner simulation
     // (as a DSE evaluation inside a larger harness might). The inner
-    // model's processes run on their own threads, so the outer process's
-    // estimation context must be untouched.
+    // model's processes are polled on this same thread, so every inner
+    // poll must stash the outer process's estimation context and put it
+    // back untouched.
     let table = CostTable::from_pairs([(Op::Add, 1.0)]);
     let mut platform = Platform::new();
     let cpu = platform.sequential("cpu", Time::ns(10), table, 0.0);
@@ -107,17 +108,17 @@ fn record_traces(seed: u64) -> (Time, Replay, Replay) {
     let fifo = model.fifo::<u64>(&mut sim, "frames", 2);
 
     let tx = fifo.clone();
-    model.spawn(&mut sim, "producer", cpu, move |ctx| {
+    model.spawn(&mut sim, "producer", cpu, move |mut ctx| async move {
         for i in 0..4_u64 {
             burn(100 + seed % 7 + i);
-            tx.write(ctx, i);
+            tx.write(&mut ctx, i).await;
         }
     });
-    model.spawn(&mut sim, "consumer", cpu, move |ctx| {
+    model.spawn(&mut sim, "consumer", cpu, move |mut ctx| async move {
         for _ in 0..4 {
-            let v = fifo.read(ctx);
+            let v = fifo.read(&mut ctx).await;
             burn(50 + v);
-            timed_wait(ctx, Time::ns(30));
+            timed_wait(&mut ctx, Time::ns(30)).await;
         }
     });
     let stats = sim.run().unwrap();
@@ -144,18 +145,30 @@ fn replayed_run_matches_live_run_bit_exactly() {
     let fifo = model.fifo::<u64>(&mut sim, "frames", 2);
 
     let tx = fifo.clone();
-    model.spawn_replaying(&mut sim, "producer", cpu, prod_trace.clone(), move |ctx| {
-        for i in 0..4_u64 {
-            // plain body: no charging at all
-            tx.write(ctx, i);
-        }
-    });
-    model.spawn_replaying(&mut sim, "consumer", cpu, cons_trace, move |ctx| {
-        for _ in 0..4 {
-            let _ = fifo.read(ctx);
-            timed_wait(ctx, Time::ns(30));
-        }
-    });
+    model.spawn_replaying(
+        &mut sim,
+        "producer",
+        cpu,
+        prod_trace.clone(),
+        move |mut ctx| async move {
+            for i in 0..4_u64 {
+                // plain body: no charging at all
+                tx.write(&mut ctx, i).await;
+            }
+        },
+    );
+    model.spawn_replaying(
+        &mut sim,
+        "consumer",
+        cpu,
+        cons_trace,
+        move |mut ctx| async move {
+            for _ in 0..4 {
+                let _ = fifo.read(&mut ctx).await;
+                timed_wait(&mut ctx, Time::ns(30)).await;
+            }
+        },
+    );
 
     let stats = sim.run().unwrap();
     assert_eq!(stats.end_time, live_end, "replay must be bit-identical");

@@ -49,14 +49,14 @@ fn run_loops(
         .site_memo(memo)
         .legacy_charging(legacy)
         .build();
-    session.spawn("w", r, move |ctx| {
+    session.spawn("w", r, move |mut ctx| async move {
         for _ in 0..segments {
             let mut acc = G::raw(0_i64);
             g_loop!(i in 0..trips => {
                 acc.assign(acc + G::raw(i as i64) * G::raw(3));
             });
             std::hint::black_box(acc.get());
-            timed_wait(ctx, Time::ns(50));
+            timed_wait(&mut ctx, Time::ns(50)).await;
         }
     });
     session.run().expect("session runs");
@@ -104,19 +104,19 @@ fn run_contended(
         .build();
     let ch = session.fifo::<i64>("link", 2);
     let tx = ch.clone();
-    session.spawn("prod", cpu, move |ctx| {
+    session.spawn("prod", cpu, move |mut ctx| async move {
         for f in 0..frames {
             let mut acc = G::raw(0_i64);
             g_loop!(i in 0..trips => {
                 acc.assign(acc + G::raw((f + i) as i64));
             });
-            tx.write(ctx, acc.get());
+            tx.write(&mut ctx, acc.get()).await;
         }
     });
-    session.spawn("cons", cpu, move |ctx| {
+    session.spawn("cons", cpu, move |mut ctx| async move {
         let mut sum = G::raw(0_i64);
         for _ in 0..frames {
-            let v = ch.read(ctx);
+            let v = ch.read(&mut ctx).await;
             sum.assign(sum + G::raw(v));
         }
         std::hint::black_box(sum.get());

@@ -44,11 +44,11 @@ fn figure3_segment_costs_75_8_cycles() {
 
     let (ch1_w, ch1_r) = (ch1.clone(), ch1);
     let (ch2_w, ch2_r) = (ch2.clone(), ch2);
-    sim.spawn("env", move |ctx| {
-        ch1_w.raw().write(ctx, 0);
-        ch2_w.raw().write(ctx, 0);
+    sim.spawn("env", move |mut ctx| async move {
+        ch1_w.raw().write(&mut ctx, 0).await;
+        ch2_w.raw().write(&mut ctx, 0).await;
     });
-    model.spawn(&mut sim, "proc", cpu, move |ctx| {
+    model.spawn(&mut sim, "proc", cpu, move |mut ctx| async move {
         let mut i = G::raw(-1_i32);
         let c = G::raw(20_i32);
         let d = G::raw(22_i32);
@@ -56,13 +56,13 @@ fn figure3_segment_costs_75_8_cycles() {
         let mut datai = G::raw(0);
         let mut datao = G::raw(0);
 
-        let _ = ch1_r.read(ctx); // node: segment of interest starts here
+        let _ = ch1_r.read(&mut ctx).await; // node: segment of interest starts here
         g_if!((i < 0) {
             i.assign(c + d);
         });
         datai.assign(array.at_raw(0));
         datao.assign(g_call!(func(datai)));
-        let _ = ch2_r.read(ctx); // node: segment of interest ends here
+        let _ = ch2_r.read(&mut ctx).await; // node: segment of interest ends here
         let _ = datao;
     });
     sim.run().unwrap();
@@ -94,19 +94,19 @@ fn figure3_condition_false_skips_branch_body() {
 
     let (ch1_w, ch1_r) = (ch1.clone(), ch1);
     let (ch2_w, ch2_r) = (ch2.clone(), ch2);
-    sim.spawn("env", move |ctx| {
-        ch1_w.raw().write(ctx, 0);
-        ch2_w.raw().write(ctx, 0);
+    sim.spawn("env", move |mut ctx| async move {
+        ch1_w.raw().write(&mut ctx, 0).await;
+        ch2_w.raw().write(&mut ctx, 0).await;
     });
-    model.spawn(&mut sim, "proc", cpu, move |ctx| {
+    model.spawn(&mut sim, "proc", cpu, move |mut ctx| async move {
         let mut i = G::raw(1_i32); // positive: branch body skipped
         let c = G::raw(20_i32);
         let d = G::raw(22_i32);
-        let _ = ch1_r.read(ctx);
+        let _ = ch1_r.read(&mut ctx).await;
         g_if!((i < 0) {
             i.assign(c + d);
         });
-        let _ = ch2_r.read(ctx);
+        let _ = ch2_r.read(&mut ctx).await;
     });
     sim.run().unwrap();
 

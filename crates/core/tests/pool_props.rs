@@ -55,20 +55,20 @@ fn elaborate(
     let tx = mid.clone();
     match snap.and_then(|s| s.replay("gen")) {
         Some(replay) => {
-            session.spawn_replaying("gen", cpu, replay, move |ctx| {
+            session.spawn_replaying("gen", cpu, replay, move |mut ctx| async move {
                 for i in 0..nitems {
-                    tx.write(ctx, gen_value(i));
+                    tx.write(&mut ctx, gen_value(i)).await;
                 }
             });
         }
         None => {
-            session.spawn("gen", cpu, move |ctx| {
+            session.spawn("gen", cpu, move |mut ctx| async move {
                 for i in 0..nitems {
                     let mut acc = g_i64(seed);
                     for k in 0..4 {
                         acc = acc + g_i64((i + k) as i64) * g_i64(3);
                     }
-                    tx.write(ctx, acc.get());
+                    tx.write(&mut ctx, acc.get()).await;
                 }
             });
         }
@@ -78,28 +78,28 @@ fn elaborate(
     let tx = out.clone();
     match snap.and_then(|s| s.replay("xform")) {
         Some(replay) => {
-            session.spawn_replaying("xform", hw, replay, move |ctx| {
+            session.spawn_replaying("xform", hw, replay, move |mut ctx| async move {
                 for _ in 0..nitems {
-                    let v = rx.read(ctx);
-                    tx.write(ctx, v * 2 - 1);
+                    let v = rx.read(&mut ctx).await;
+                    tx.write(&mut ctx, v * 2 - 1).await;
                 }
             });
         }
         None => {
-            session.spawn("xform", hw, move |ctx| {
+            session.spawn("xform", hw, move |mut ctx| async move {
                 for _ in 0..nitems {
-                    let v = rx.read(ctx);
+                    let v = rx.read(&mut ctx).await;
                     let r = g_i64(v) * g_i64(2) - g_i64(1);
-                    tx.write(ctx, r.get());
+                    tx.write(&mut ctx, r.get()).await;
                 }
             });
         }
     }
 
     let sink = Arc::clone(&collected);
-    session.spawn_untimed("sink", move |ctx| {
+    session.spawn_untimed("sink", move |mut ctx| async move {
         for _ in 0..nitems {
-            let v = out.read(ctx);
+            let v = out.read(&mut ctx).await;
             sink.lock().push(v);
         }
     });
@@ -187,8 +187,8 @@ fn a_non_determinate_run_does_not_poison_its_slot() {
         let s = sim.signal("s", 0_u32);
         let s1 = s.clone();
         let s2 = s;
-        sim.spawn("a", move |ctx| s1.write(ctx, 1));
-        sim.spawn("b", move |ctx| s2.write(ctx, 2));
+        sim.spawn("a", move |mut ctx| async move { s1.write(&mut ctx, 1) });
+        sim.spawn("b", move |mut ctx| async move { s2.write(&mut ctx, 2) });
         match slot.run() {
             Err(SimError::NonDeterminate { .. }) => {}
             other => panic!("expected NonDeterminate, got {other:?}"),

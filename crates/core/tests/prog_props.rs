@@ -45,7 +45,7 @@ fn run_workload(
     }
     let mut session = config.build();
     let values = values.to_vec();
-    session.spawn("w", cpu, move |ctx| {
+    session.spawn("w", cpu, move |mut ctx| async move {
         let mut acc = G::raw(0_i64);
         for &v in &values {
             g_site!(((v >= 0) as u64) {
@@ -59,7 +59,7 @@ fn run_workload(
                     acc.assign(acc - x);
                 });
             });
-            timed_wait(ctx, Time::ns(50));
+            timed_wait(&mut ctx, Time::ns(50)).await;
         }
         std::hint::black_box(acc.get());
     });

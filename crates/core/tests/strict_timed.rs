@@ -31,7 +31,7 @@ fn single_process_sleeps_its_segment_time() {
     let (platform, cpu) = platform_cpu(0.0);
     let mut sim = Simulator::new();
     let model = PerfModel::new(platform, Mode::StrictTimed);
-    model.spawn(&mut sim, "p", cpu, |ctx| {
+    model.spawn(&mut sim, "p", cpu, |ctx| async move {
         burn(100); // 100 cycles @ 10ns = 1us, annotated at process exit
         assert_eq!(ctx.now(), Time::ZERO, "annotation happens at the node");
     });
@@ -64,9 +64,9 @@ fn two_processes_on_one_cpu_serialize() {
     let done = std::sync::Arc::new(scperf_sync::Mutex::new(Vec::new()));
     for (name, cycles) in [("p2", 300_u64), ("p3", 500_u64)] {
         let done = std::sync::Arc::clone(&done);
-        model.spawn(&mut sim, name, cpu, move |ctx| {
+        model.spawn(&mut sim, name, cpu, move |mut ctx| async move {
             burn(cycles);
-            timed_wait(ctx, Time::ZERO); // node: back-annotate here
+            timed_wait(&mut ctx, Time::ZERO).await; // node: back-annotate here
             done.lock().push((name, ctx.now()));
         });
     }
@@ -104,9 +104,9 @@ fn rtos_cost_is_charged_per_node() {
     let (platform, cpu) = platform_cpu(50.0);
     let mut sim = Simulator::new();
     let model = PerfModel::new(platform, Mode::StrictTimed);
-    model.spawn(&mut sim, "p", cpu, |ctx| {
-        timed_wait(ctx, Time::ZERO);
-        timed_wait(ctx, Time::ZERO);
+    model.spawn(&mut sim, "p", cpu, |mut ctx| async move {
+        timed_wait(&mut ctx, Time::ZERO).await;
+        timed_wait(&mut ctx, Time::ZERO).await;
     });
     let s = sim.run().unwrap();
     assert_eq!(s.end_time, Time::ns(1500));
@@ -129,9 +129,9 @@ fn arbitration_loop_handles_resource_stealing() {
     let spans = std::sync::Arc::new(scperf_sync::Mutex::new(Vec::new()));
     for (i, cycles) in [700_u64, 200, 400].into_iter().enumerate() {
         let spans = std::sync::Arc::clone(&spans);
-        model.spawn(&mut sim, format!("p{i}"), cpu, move |ctx| {
+        model.spawn(&mut sim, format!("p{i}"), cpu, move |mut ctx| async move {
             burn(cycles);
-            timed_wait(ctx, Time::ZERO);
+            timed_wait(&mut ctx, Time::ZERO).await;
             spans.lock().push((ctx.now(), cycles));
         });
     }
@@ -196,11 +196,11 @@ fn capture_points_record_strict_times() {
     let mut sim = Simulator::new();
     let model = PerfModel::new(platform, Mode::StrictTimed);
     let cp = model.capture_point("beat");
-    model.spawn(&mut sim, "p", cpu, move |ctx| {
+    model.spawn(&mut sim, "p", cpu, move |mut ctx| async move {
         for i in 0..3 {
             burn(100);
-            timed_wait(ctx, Time::ZERO);
-            cp.capture_value(ctx, i as f64);
+            timed_wait(&mut ctx, Time::ZERO).await;
+            cp.capture_value(&ctx, i as f64);
         }
     });
     sim.run().unwrap();
@@ -220,10 +220,10 @@ fn segment_min_max_track_data_dependence() {
     let mut sim = Simulator::new();
     let model = PerfModel::new(platform, Mode::StrictTimed);
     model.record_instantaneous();
-    model.spawn(&mut sim, "p", cpu, |ctx| {
+    model.spawn(&mut sim, "p", cpu, |mut ctx| async move {
         for n in [10_u64, 50, 30] {
             burn(n);
-            timed_wait(ctx, Time::ZERO);
+            timed_wait(&mut ctx, Time::ZERO).await;
         }
     });
     sim.run().unwrap();

@@ -1,5 +1,6 @@
 //! The cycle-accurate interpreter.
 
+use std::cell::Cell;
 use std::fmt;
 
 use crate::cache::{Cache, CacheConfig};
@@ -143,12 +144,40 @@ impl RunStats {
 pub struct Machine {
     regs: [i32; 32],
     mem: Vec<u8>,
+    /// End of the written part of `mem`'s lower half: bytes below it may
+    /// be non-zero (the data segment).
+    lo_dirty: usize,
+    /// Start of the written part of `mem`'s upper half: bytes from it up
+    /// may be non-zero (the stack). Everything between the two is still
+    /// zero, so a dropped machine re-zeroes only the written ends before
+    /// its image is reused.
+    hi_dirty: usize,
     code: Vec<Instr>,
     pc: u32,
     model: CycleModel,
     icache: Option<Cache>,
     dcache: Option<Cache>,
     halted: bool,
+}
+
+thread_local! {
+    /// The zeroed memory image of the last machine dropped on this thread,
+    /// reused by the next [`Machine::new`] of the same size. Harnesses
+    /// create one multi-megabyte machine per run; without reuse each run
+    /// frees and re-allocates the image, and where the allocator places
+    /// the next one — beside the old one or in a fresh region — varies
+    /// from run to run, and so does the process's resident memory.
+    static SPARE_MEM: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// `len` zeroed bytes, from this thread's spare image when it fits.
+fn zeroed_mem(len: usize) -> Vec<u8> {
+    let mem = SPARE_MEM.with(Cell::take);
+    if mem.len() == len {
+        mem
+    } else {
+        vec![0; len]
+    }
 }
 
 impl Machine {
@@ -158,7 +187,9 @@ impl Machine {
     pub fn new(mem_bytes: usize) -> Machine {
         let mut m = Machine {
             regs: [0; 32],
-            mem: vec![0; mem_bytes],
+            mem: zeroed_mem(mem_bytes),
+            lo_dirty: 0,
+            hi_dirty: mem_bytes,
             code: Vec::new(),
             pc: 0,
             model: CycleModel::default(),
@@ -195,6 +226,7 @@ impl Machine {
         for (addr, bytes) in &program.data {
             let a = *addr as usize;
             self.mem[a..a + bytes.len()].copy_from_slice(bytes);
+            self.touch(a, bytes.len());
         }
         self.pc = 0;
         self.halted = false;
@@ -230,6 +262,17 @@ impl Machine {
     pub fn write_word(&mut self, addr: u32, v: i32) {
         let a = addr as usize;
         self.mem[a..a + 4].copy_from_slice(&v.to_le_bytes());
+        self.touch(a, 4);
+    }
+
+    /// Records a write of `len` bytes at `addr` in the dirty extents.
+    #[inline]
+    fn touch(&mut self, addr: usize, len: usize) {
+        if addr < self.mem.len() / 2 {
+            self.lo_dirty = self.lo_dirty.max(addr + len);
+        } else {
+            self.hi_dirty = self.hi_dirty.min(addr);
+        }
     }
 
     /// Reads `len` bytes of memory.
@@ -424,6 +467,7 @@ impl Machine {
             Sb(t, b, o) => {
                 let addr = self.mem_check(pc, self.reg(b) as i64 + o as i64, 1)?;
                 self.mem[addr as usize] = self.reg(t) as u8;
+                self.touch(addr as usize, 1);
                 let extra = self.dcache.as_mut().map_or(0, |c| c.access(addr));
                 m.store + extra
             }
@@ -504,6 +548,18 @@ impl Machine {
     }
 }
 
+impl Drop for Machine {
+    fn drop(&mut self) {
+        let mut mem = std::mem::take(&mut self.mem);
+        let lo = self.lo_dirty.min(mem.len());
+        mem[..lo].fill(0);
+        mem[self.hi_dirty.max(lo)..].fill(0);
+        // During thread teardown the slot may already be gone; the image
+        // is then simply freed.
+        let _ = SPARE_MEM.try_with(|spare| spare.set(mem));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,6 +570,21 @@ mod tests {
         m.load(&Program { code, data: vec![] });
         let stats = m.run(100_000).expect("program runs");
         (m, stats)
+    }
+
+    #[test]
+    fn a_reused_memory_image_starts_zeroed() {
+        const LEN: usize = 8192;
+        let mut m = Machine::new(LEN);
+        m.load(&Program {
+            code: vec![],
+            data: vec![(16, vec![0xAB; 64])],
+        });
+        m.write_word(LEN as u32 / 2 - 2, -1); // straddles the midpoint
+        m.write_word(LEN as u32 - 4, 7);
+        drop(m);
+        let m = Machine::new(LEN);
+        assert!(m.read_bytes(0, LEN).iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -189,7 +189,7 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
 
     /// Blocking read: suspends the calling process until a committed value
     /// is available (the analogue of `sc_fifo::read`).
-    pub fn read(&self, ctx: &mut ProcCtx) -> T {
+    pub async fn read(&self, ctx: &mut ProcCtx) -> T {
         loop {
             let taken = {
                 let mut buf = self.inner.buf.lock();
@@ -241,7 +241,7 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
                     // Attribution: measure the blocked span in simulated
                     // time (lock-free gate; off = no extra kernel calls).
                     let t0 = ctx.shared.attribution_fast().then(|| ctx.now());
-                    ctx.wait_event(&self.inner.data_ev);
+                    ctx.wait_event(&self.inner.data_ev).await;
                     if let Some(t0) = t0 {
                         let span = ctx.now().saturating_sub(t0).as_ps();
                         self.inner
@@ -256,7 +256,7 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
 
     /// Blocking write: suspends the calling process until space is free
     /// (the analogue of `sc_fifo::write`).
-    pub fn write(&self, ctx: &mut ProcCtx, value: T) {
+    pub async fn write(&self, ctx: &mut ProcCtx, value: T) {
         let mut value = Some(value);
         loop {
             let wrote = {
@@ -310,7 +310,7 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
                 None => {
                     self.inner.stats.blocks.fetch_add(1, Ordering::Relaxed);
                     let t0 = ctx.shared.attribution_fast().then(|| ctx.now());
-                    ctx.wait_event(&self.inner.space_ev);
+                    ctx.wait_event(&self.inner.space_ev).await;
                     if let Some(t0) = t0 {
                         let span = ctx.now().saturating_sub(t0).as_ps();
                         self.inner
@@ -370,15 +370,15 @@ mod tests {
         let mut sim = Simulator::new();
         let f = sim.fifo::<u32>("f", 2);
         let (w, r) = (f.clone(), f);
-        sim.spawn("w", move |ctx| {
+        sim.spawn("w", move |mut ctx| async move {
             for i in 0..10 {
-                w.write(ctx, i);
+                w.write(&mut ctx, i).await;
             }
         });
         let (tx, rx) = mpsc::channel();
-        sim.spawn("r", move |ctx| {
+        sim.spawn("r", move |mut ctx| async move {
             for _ in 0..10 {
-                tx.send(r.read(ctx)).unwrap();
+                tx.send(r.read(&mut ctx).await).unwrap();
             }
         });
         sim.run().unwrap();
@@ -392,14 +392,14 @@ mod tests {
         let f = sim.fifo::<u32>("f", 1);
         let (w, r) = (f.clone(), f);
         let (tx, rx) = mpsc::channel();
-        sim.spawn("w", move |ctx| {
-            w.write(ctx, 1);
-            w.write(ctx, 2); // blocks until reader drains
+        sim.spawn("w", move |mut ctx| async move {
+            w.write(&mut ctx, 1).await;
+            w.write(&mut ctx, 2).await; // blocks until reader drains
         });
-        sim.spawn("r", move |ctx| {
-            ctx.wait(Time::ns(50));
-            tx.send((r.read(ctx), ctx.now())).unwrap();
-            tx.send((r.read(ctx), ctx.now())).unwrap();
+        sim.spawn("r", move |mut ctx| async move {
+            ctx.wait(Time::ns(50)).await;
+            tx.send((r.read(&mut ctx).await, ctx.now())).unwrap();
+            tx.send((r.read(&mut ctx).await, ctx.now())).unwrap();
         });
         sim.run().unwrap();
         let got: Vec<_> = rx.try_iter().collect();
@@ -416,17 +416,17 @@ mod tests {
         let f = sim.fifo::<u32>("f", 4);
         let (w, r) = (f.clone(), f.clone());
         let (tx, rx) = mpsc::channel();
-        sim.spawn("w", move |ctx| {
-            w.write(ctx, 7);
+        sim.spawn("w", move |mut ctx| async move {
+            w.write(&mut ctx, 7).await;
             // keep the process alive into the next delta so the probe can run
-            ctx.wait(Time::ZERO);
+            ctx.wait(Time::ZERO).await;
         });
-        sim.spawn("probe", move |ctx| {
+        sim.spawn("probe", move |mut ctx| async move {
             // runs in the same evaluate phase as the write (pid order: w first)
-            let same_delta = r.try_read(ctx);
+            let same_delta = r.try_read(&mut ctx);
             tx.send(same_delta).unwrap();
-            ctx.wait(Time::ZERO);
-            let next = r.try_read(ctx);
+            ctx.wait(Time::ZERO).await;
+            let next = r.try_read(&mut ctx);
             tx.send(next).unwrap();
         });
         sim.run().unwrap();
@@ -440,12 +440,12 @@ mod tests {
         let f = sim.fifo::<u8>("f", 3);
         let w = f.clone();
         let probe = f.clone();
-        sim.spawn("w", move |ctx| {
+        sim.spawn("w", move |mut ctx| async move {
             assert_eq!(w.num_free(), 3);
-            w.write(ctx, 1);
+            w.write(&mut ctx, 1).await;
             assert_eq!(w.num_free(), 2);
             assert_eq!(w.num_available(), 0); // not committed yet
-            ctx.wait(Time::ZERO);
+            ctx.wait(Time::ZERO).await;
             assert_eq!(w.num_available(), 1);
         });
         sim.run().unwrap();
@@ -465,9 +465,12 @@ mod tests {
         sim.enable_tracing();
         let f = sim.fifo::<u32>("ch", 1);
         let (w, r) = (f.clone(), f);
-        sim.spawn("w", move |ctx| w.write(ctx, 9));
-        sim.spawn("r", move |ctx| {
-            let _ = r.read(ctx);
+        sim.spawn(
+            "w",
+            move |mut ctx| async move { w.write(&mut ctx, 9).await },
+        );
+        sim.spawn("r", move |mut ctx| async move {
+            let _ = r.read(&mut ctx).await;
         });
         sim.run().unwrap();
         let trace = sim.take_trace();

@@ -75,7 +75,7 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
     }
 
     /// Offers `value` and blocks until the reader has consumed it.
-    pub fn write(&self, ctx: &mut ProcCtx, value: T) {
+    pub async fn write(&self, ctx: &mut ProcCtx, value: T) {
         // Wait for the slot to be free (a previous offer still pending).
         let mut value = Some(value);
         loop {
@@ -123,7 +123,7 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
                 }
                 None => {
                     self.inner.stats.blocks.fetch_add(1, Ordering::Relaxed);
-                    self.timed_wait(ctx, &self.inner.consumed_ev);
+                    self.timed_wait(ctx, &self.inner.consumed_ev).await;
                 }
             }
         }
@@ -134,13 +134,13 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
                 break;
             }
             self.inner.stats.blocks.fetch_add(1, Ordering::Relaxed);
-            self.timed_wait(ctx, &self.inner.consumed_ev);
+            self.timed_wait(ctx, &self.inner.consumed_ev).await;
         }
     }
 
     /// Blocks until a writer offers a value, consumes it and releases the
     /// writer.
-    pub fn read(&self, ctx: &mut ProcCtx) -> T {
+    pub async fn read(&self, ctx: &mut ProcCtx) -> T {
         loop {
             // See `write`: slot accesses are serialized in pid order
             // under parallel evaluation.
@@ -173,7 +173,7 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
                 }
                 None => {
                     self.inner.stats.blocks.fetch_add(1, Ordering::Relaxed);
-                    self.timed_wait(ctx, &self.inner.data_ev);
+                    self.timed_wait(ctx, &self.inner.data_ev).await;
                 }
             }
         }
@@ -181,9 +181,9 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
 
     /// Waits on `ev`, charging the blocked span (in simulated time) to
     /// this channel when attribution is on.
-    fn timed_wait(&self, ctx: &mut ProcCtx, ev: &Event) {
+    async fn timed_wait(&self, ctx: &mut ProcCtx, ev: &Event) {
         let t0 = ctx.shared.attribution_fast().then(|| ctx.now());
-        ctx.wait_event(ev);
+        ctx.wait_event(ev).await;
         if let Some(t0) = t0 {
             let span = ctx.now().saturating_sub(t0).as_ps();
             self.inner
@@ -215,13 +215,13 @@ mod tests {
         let (w, r) = (ch.clone(), ch);
         let (tx, rx) = mpsc::channel();
         let tx2 = tx.clone();
-        sim.spawn("w", move |ctx| {
-            w.write(ctx, 11);
+        sim.spawn("w", move |mut ctx| async move {
+            w.write(&mut ctx, 11).await;
             tx.send(("write done", ctx.now())).unwrap();
         });
-        sim.spawn("r", move |ctx| {
-            ctx.wait(Time::ns(20));
-            let v = r.read(ctx);
+        sim.spawn("r", move |mut ctx| async move {
+            ctx.wait(Time::ns(20)).await;
+            let v = r.read(&mut ctx).await;
             tx2.send(("read done", ctx.now())).unwrap();
             assert_eq!(v, 11);
         });
@@ -237,14 +237,14 @@ mod tests {
         let mut sim = Simulator::new();
         let ch = sim.rendezvous::<u32>("r");
         let (w, r) = (ch.clone(), ch);
-        sim.spawn("r", move |ctx| {
-            let v = r.read(ctx);
+        sim.spawn("r", move |mut ctx| async move {
+            let v = r.read(&mut ctx).await;
             assert_eq!(v, 5);
             assert!(ctx.now() >= Time::ns(30));
         });
-        sim.spawn("w", move |ctx| {
-            ctx.wait(Time::ns(30));
-            w.write(ctx, 5);
+        sim.spawn("w", move |mut ctx| async move {
+            ctx.wait(Time::ns(30)).await;
+            w.write(&mut ctx, 5).await;
         });
         sim.run().unwrap();
     }
@@ -255,14 +255,14 @@ mod tests {
         let ch = sim.rendezvous::<u32>("r");
         let (w, r) = (ch.clone(), ch);
         let (tx, rx) = mpsc::channel();
-        sim.spawn("w", move |ctx| {
+        sim.spawn("w", move |mut ctx| async move {
             for i in 0..5 {
-                w.write(ctx, i);
+                w.write(&mut ctx, i).await;
             }
         });
-        sim.spawn("r", move |ctx| {
+        sim.spawn("r", move |mut ctx| async move {
             for _ in 0..5 {
-                tx.send(r.read(ctx)).unwrap();
+                tx.send(r.read(&mut ctx).await).unwrap();
             }
         });
         sim.run().unwrap();

@@ -153,8 +153,8 @@ impl<T: Send + Clone + PartialEq + std::fmt::Debug + 'static> Signal<T> {
     /// Blocks the calling process until the committed value changes
     /// (testbench convenience; user processes under the paper's methodology
     /// communicate through FIFOs and rendezvous channels instead).
-    pub fn wait_value_change(&self, ctx: &mut ProcCtx) -> T {
-        ctx.wait_event(&self.inner.changed_ev);
+    pub async fn wait_value_change(&self, ctx: &mut ProcCtx) -> T {
+        ctx.wait_event(&self.inner.changed_ev).await;
         self.read()
     }
 }
@@ -178,10 +178,10 @@ mod tests {
         let mut sim = Simulator::new();
         let s = sim.signal("s", 0_u32);
         let (sw, sr) = (s.clone(), s.clone());
-        sim.spawn("w", move |ctx| {
-            sw.write(ctx, 5);
+        sim.spawn("w", move |mut ctx| async move {
+            sw.write(&mut ctx, 5);
             assert_eq!(sw.read(), 0, "write must not be visible before update");
-            ctx.wait(Time::ZERO);
+            ctx.wait(Time::ZERO).await;
             assert_eq!(sw.read(), 5);
         });
         sim.run().unwrap();
@@ -194,15 +194,15 @@ mod tests {
         let s = sim.signal("s", 0_u32);
         let (sw, sr) = (s.clone(), s.clone());
         let (tx, rx) = mpsc::channel();
-        sim.spawn("listener", move |ctx| {
-            let v = sr.wait_value_change(ctx);
+        sim.spawn("listener", move |mut ctx| async move {
+            let v = sr.wait_value_change(&mut ctx).await;
             tx.send(v).unwrap();
         });
-        sim.spawn("driver", move |ctx| {
-            ctx.wait(Time::ns(5));
-            sw.write(ctx, 0); // no change: must not wake the listener
-            ctx.wait(Time::ns(5));
-            sw.write(ctx, 9);
+        sim.spawn("driver", move |mut ctx| async move {
+            ctx.wait(Time::ns(5)).await;
+            sw.write(&mut ctx, 0); // no change: must not wake the listener
+            ctx.wait(Time::ns(5)).await;
+            sw.write(&mut ctx, 9);
         });
         sim.run().unwrap();
         assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![9]);
@@ -215,8 +215,8 @@ mod tests {
         let s1 = s.clone();
         let s2 = s.clone();
         let sr = s.clone();
-        sim.spawn("a", move |ctx| s1.write(ctx, 1));
-        sim.spawn("b", move |ctx| s2.write(ctx, 2));
+        sim.spawn("a", move |mut ctx| s1.write(&mut ctx, 1));
+        sim.spawn("b", move |mut ctx| s2.write(&mut ctx, 2));
         sim.run().unwrap();
         assert_eq!(sr.read(), 2);
     }
@@ -227,7 +227,7 @@ mod tests {
         sim.enable_tracing();
         let s = sim.signal("sig", false);
         let sw = s.clone();
-        sim.spawn("w", move |ctx| sw.write(ctx, true));
+        sim.spawn("w", move |mut ctx| sw.write(&mut ctx, true));
         sim.run().unwrap();
         let trace = sim.take_trace();
         assert_eq!(trace.len(), 1);

@@ -34,10 +34,10 @@ struct SimMutexInner {
 /// let m = sim.sim_mutex("bus");
 /// for name in ["a", "b"] {
 ///     let m = m.clone();
-///     sim.spawn(name, move |ctx| {
-///         m.lock(ctx);
-///         ctx.wait(Time::ns(10)); // exclusive use of the bus
-///         m.unlock(ctx);
+///     sim.spawn(name, move |mut ctx| async move {
+///         m.lock(&mut ctx).await;
+///         ctx.wait(Time::ns(10)).await; // exclusive use of the bus
+///         m.unlock(&mut ctx);
 ///     });
 /// }
 /// let summary = sim.run()?;
@@ -84,7 +84,7 @@ impl SimMutex {
     ///
     /// Panics if the calling process already holds it (like `sc_mutex`,
     /// it is not recursive).
-    pub fn lock(&self, ctx: &mut ProcCtx) {
+    pub async fn lock(&self, ctx: &mut ProcCtx) {
         loop {
             // Lock state is immediately visible to other processes, so
             // under parallel evaluation acquisition happens in
@@ -106,7 +106,7 @@ impl SimMutex {
                     }
                 }
             }
-            ctx.wait_event(&self.inner.released_ev);
+            ctx.wait_event(&self.inner.released_ev).await;
         }
     }
 
@@ -199,7 +199,7 @@ impl SimSemaphore {
 
     /// Acquires one permit, suspending while none are available
     /// (`sc_semaphore::wait`).
-    pub fn acquire(&self, ctx: &mut ProcCtx) {
+    pub async fn acquire(&self, ctx: &mut ProcCtx) {
         loop {
             // See `SimMutex::lock`: permits are handed out in pid order
             // under parallel evaluation.
@@ -211,7 +211,7 @@ impl SimSemaphore {
                     return;
                 }
             }
-            ctx.wait_event(&self.inner.posted_ev);
+            ctx.wait_event(&self.inner.posted_ev).await;
         }
     }
 
@@ -260,13 +260,13 @@ mod tests {
             let m = m.clone();
             let peak = Arc::clone(&peak);
             let inside = Arc::clone(&inside);
-            sim.spawn(format!("p{i}"), move |ctx| {
-                m.lock(ctx);
+            sim.spawn(format!("p{i}"), move |mut ctx| async move {
+                m.lock(&mut ctx).await;
                 let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
-                ctx.wait(Time::ns(10));
+                ctx.wait(Time::ns(10)).await;
                 inside.fetch_sub(1, Ordering::SeqCst);
-                m.unlock(ctx);
+                m.unlock(&mut ctx);
             });
         }
         let s = sim.run().unwrap();
@@ -279,17 +279,17 @@ mod tests {
         let mut sim = Simulator::new();
         let m = sim.sim_mutex("m");
         let (m1, m2) = (m.clone(), m);
-        sim.spawn("holder", move |ctx| {
-            assert!(m1.try_lock(ctx));
-            ctx.wait(Time::ns(100));
-            m1.unlock(ctx);
+        sim.spawn("holder", move |mut ctx| async move {
+            assert!(m1.try_lock(&mut ctx));
+            ctx.wait(Time::ns(100)).await;
+            m1.unlock(&mut ctx);
         });
-        sim.spawn("prober", move |ctx| {
-            ctx.wait(Time::ns(10));
-            assert!(!m2.try_lock(ctx));
-            ctx.wait(Time::ns(100));
-            assert!(m2.try_lock(ctx));
-            m2.unlock(ctx);
+        sim.spawn("prober", move |mut ctx| async move {
+            ctx.wait(Time::ns(10)).await;
+            assert!(!m2.try_lock(&mut ctx));
+            ctx.wait(Time::ns(100)).await;
+            assert!(m2.try_lock(&mut ctx));
+            m2.unlock(&mut ctx);
         });
         sim.run().unwrap();
     }
@@ -304,13 +304,13 @@ mod tests {
             let sem = sem.clone();
             let peak = Arc::clone(&peak);
             let inside = Arc::clone(&inside);
-            sim.spawn(format!("w{i}"), move |ctx| {
-                sem.acquire(ctx);
+            sim.spawn(format!("w{i}"), move |mut ctx| async move {
+                sem.acquire(&mut ctx).await;
                 let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
-                ctx.wait(Time::ns(10));
+                ctx.wait(Time::ns(10)).await;
                 inside.fetch_sub(1, Ordering::SeqCst);
-                sem.release(ctx);
+                sem.release(&mut ctx);
             });
         }
         let s = sim.run().unwrap();
@@ -324,14 +324,14 @@ mod tests {
         let mut sim = Simulator::new();
         let sem = sim.sim_semaphore("s", 3);
         let probe = sem.clone();
-        sim.spawn("p", move |ctx| {
+        sim.spawn("p", move |mut ctx| async move {
             assert_eq!(sem.value(), 3);
-            sem.acquire(ctx);
+            sem.acquire(&mut ctx).await;
             assert_eq!(sem.value(), 2);
-            assert!(sem.try_acquire(ctx));
+            assert!(sem.try_acquire(&mut ctx));
             assert_eq!(sem.value(), 1);
-            sem.release(ctx);
-            sem.release(ctx);
+            sem.release(&mut ctx);
+            sem.release(&mut ctx);
         });
         sim.run().unwrap();
         assert_eq!(probe.value(), 3);
@@ -341,8 +341,8 @@ mod tests {
     fn non_holder_unlock_panics_the_process() {
         let mut sim = Simulator::new();
         let m = sim.sim_mutex("m");
-        sim.spawn("bad", move |ctx| {
-            m.unlock(ctx);
+        sim.spawn("bad", move |mut ctx| async move {
+            m.unlock(&mut ctx);
         });
         let err = sim.run().unwrap_err();
         assert!(err.to_string().contains("does not hold"));

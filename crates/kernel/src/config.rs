@@ -1,9 +1,8 @@
 //! Kernel-side simulator configuration: the [`SimOptions`] builder.
 //!
 //! Historically the knobs of a [`Simulator`](crate::Simulator) were
-//! scattered over dedicated constructors and setters
-//! (`Simulator::with_handoff`, `enable_tracing`, `enable_tracing_ring`,
-//! `set_trace_sink`). `SimOptions` folds them into one value that can be
+//! scattered over dedicated setters (`enable_tracing`,
+//! `enable_tracing_ring`, `set_trace_sink`). `SimOptions` folds them into one value that can be
 //! built up, passed around and handed to
 //! [`Simulator::with_options`](crate::Simulator::with_options) — it is
 //! also the kernel half of the full-stack `scperf_core::SimConfig`
@@ -12,7 +11,6 @@
 
 use scperf_obs::TraceSink;
 
-use crate::handoff::HandoffKind;
 use crate::sim::Simulator;
 
 /// How the kernel records trace events.
@@ -30,26 +28,22 @@ pub enum TraceMode {
 
 /// Kernel-level simulator options.
 ///
-/// Collects the scheduler↔process handoff protocol and the trace-sink
-/// wiring in one builder. Construct with [`SimOptions::new`], chain the
+/// Collects the evaluate-phase parallelism degree, attribution and the
+/// trace-sink wiring in one builder. Construct with [`SimOptions::new`], chain the
 /// setters, and either call [`SimOptions::build`] or pass the value to
 /// [`Simulator::with_options`].
 ///
 /// # Examples
 ///
 /// ```
-/// use scperf_kernel::{HandoffKind, SimOptions, TraceMode};
+/// use scperf_kernel::{SimOptions, TraceMode};
 ///
-/// let mut sim = SimOptions::new()
-///     .handoff(HandoffKind::Direct)
-///     .tracing(TraceMode::Ring(1024))
-///     .build();
-/// sim.spawn("p", |ctx| ctx.wait(scperf_kernel::Time::ns(1)));
+/// let mut sim = SimOptions::new().tracing(TraceMode::Ring(1024)).build();
+/// sim.spawn("p", |mut ctx| async move { ctx.wait(scperf_kernel::Time::ns(1)).await });
 /// sim.run()?;
 /// # Ok::<(), scperf_kernel::SimError>(())
 /// ```
 pub struct SimOptions {
-    pub(crate) handoff: HandoffKind,
     pub(crate) trace: TraceMode,
     pub(crate) sink: Option<Box<dyn TraceSink>>,
     pub(crate) attribution: bool,
@@ -63,13 +57,10 @@ impl Default for SimOptions {
 }
 
 impl SimOptions {
-    /// Default options: the default handoff protocol
-    /// ([`HandoffKind::default_kind`], which honours the
-    /// `SCPERF_HANDOFF` environment variable and the `condvar-baton`
-    /// feature) and no tracing.
+    /// Default options: the sequential scheduler (`jobs = 1`), no
+    /// attribution and no tracing.
     pub fn new() -> SimOptions {
         SimOptions {
-            handoff: HandoffKind::default_kind(),
             trace: TraceMode::Off,
             sink: None,
             attribution: false,
@@ -77,11 +68,12 @@ impl SimOptions {
         }
     }
 
-    /// Sets the evaluate-phase parallelism degree. The default, `1`, is
-    /// the sequential single-baton scheduler, preserved verbatim. With
-    /// `jobs > 1` each delta cycle's runnable processes are dispatched
-    /// concurrently across `jobs` threads (the scheduler plus a lazily
-    /// created `jobs - 1`-worker pool); their kernel side effects are
+    /// Sets the evaluate-phase parallelism degree. The default, `1`,
+    /// polls every runnable process on the scheduler thread. With
+    /// `jobs > 1` each delta cycle's runnable processes are polled
+    /// concurrently across up to `jobs` threads — no more than the
+    /// host's CPUs, but at least two (the scheduler plus a lazily
+    /// created worker pool); their kernel side effects are
     /// buffered per process and committed in canonical pid order at the
     /// delta boundary, so summaries, metrics and traces stay
     /// bit-identical to `jobs = 1` for determinate models. `0` is
@@ -98,15 +90,15 @@ impl SimOptions {
     /// let mut sim = SimOptions::new().jobs(8).build();
     /// let fifo = sim.fifo::<u32>("data", 4);
     /// let (tx, rx) = (fifo.clone(), fifo);
-    /// sim.spawn("producer", move |ctx| {
+    /// sim.spawn("producer", move |mut ctx| async move {
     ///     for i in 0..16 {
-    ///         tx.write(ctx, i);
-    ///         ctx.wait(Time::ns(5));
+    ///         tx.write(&mut ctx, i).await;
+    ///         ctx.wait(Time::ns(5)).await;
     ///     }
     /// });
-    /// sim.spawn("consumer", move |ctx| {
+    /// sim.spawn("consumer", move |mut ctx| async move {
     ///     for _ in 0..16 {
-    ///         let _ = rx.read(ctx);
+    ///         let _ = rx.read(&mut ctx).await;
     ///     }
     /// });
     /// // Bit-identical to the same model run with jobs = 1.
@@ -116,16 +108,6 @@ impl SimOptions {
     /// ```
     pub fn jobs(mut self, jobs: usize) -> SimOptions {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Selects the scheduler↔process handoff protocol.
-    /// [`HandoffKind::Direct`] is the fast path;
-    /// [`HandoffKind::CondvarBaton`] is the original mutex+condvar
-    /// protocol kept for debugging and A/B benchmarking. Both produce
-    /// bit-identical traces.
-    pub fn handoff(mut self, kind: HandoffKind) -> SimOptions {
-        self.handoff = kind;
         self
     }
 
@@ -165,7 +147,6 @@ impl SimOptions {
 impl std::fmt::Debug for SimOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimOptions")
-            .field("handoff", &self.handoff)
             .field("trace", &self.trace)
             .field("sink", &self.sink.as_ref().map(|_| "custom"))
             .field("attribution", &self.attribution)
@@ -180,14 +161,14 @@ mod tests {
     use crate::time::Time;
 
     #[test]
-    fn options_thread_handoff_and_tracing_into_the_simulator() {
+    fn options_thread_jobs_and_tracing_into_the_simulator() {
         let mut sim = SimOptions::new()
-            .handoff(HandoffKind::CondvarBaton)
+            .jobs(2)
             .tracing(TraceMode::Unbounded)
             .build();
-        assert_eq!(sim.handoff_kind(), HandoffKind::CondvarBaton);
-        sim.spawn("p", |ctx| {
-            ctx.wait(Time::ns(1));
+        assert_eq!(sim.jobs(), 2);
+        sim.spawn("p", |mut ctx| async move {
+            ctx.wait(Time::ns(1)).await;
             ctx.emit_trace("mark", "x");
         });
         sim.run().unwrap();
@@ -199,7 +180,7 @@ mod tests {
     #[test]
     fn ring_mode_bounds_the_buffer() {
         let mut sim = SimOptions::new().tracing(TraceMode::Ring(4)).build();
-        sim.spawn("p", |ctx| {
+        sim.spawn("p", |mut ctx| async move {
             for i in 0..64 {
                 ctx.emit_trace("tick", i.to_string());
             }
@@ -208,18 +189,5 @@ mod tests {
         let table = sim.take_events();
         assert!(table.events.len() <= 8, "ring must bound the buffer");
         assert!(table.dropped > 0);
-    }
-
-    #[test]
-    fn default_options_match_plain_new() {
-        let sim = SimOptions::new().build();
-        assert_eq!(sim.handoff_kind(), HandoffKind::default_kind());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_handoff_still_forwards() {
-        let sim = Simulator::with_handoff(HandoffKind::CondvarBaton);
-        assert_eq!(sim.handoff_kind(), HandoffKind::CondvarBaton);
     }
 }

@@ -83,13 +83,13 @@ impl Event {
             .with_state(|st| st.schedule(delay, TimedAction::NotifyEvent(self.id)));
     }
 
-    /// When a parallel round is active *and* the caller is a simulation
-    /// process thread, returns the pid whose effect log must buffer
-    /// this notification. Events have no `ProcCtx`, so the pid comes
-    /// from the process thread's thread-local.
+    /// When a parallel round is active *and* the caller runs inside a
+    /// process poll, returns the pid whose effect log must buffer this
+    /// notification. Events have no `ProcCtx`, so the pid comes from the
+    /// thread-local the scheduler sets around every poll.
     fn buffering_pid(&self) -> Option<usize> {
         if self.shared.par_active_fast() {
-            crate::parallel::current_pid()
+            crate::process::current_pid()
         } else {
             None
         }
@@ -114,8 +114,8 @@ mod tests {
         let mut sim = Simulator::new();
         let ev = sim.event("tick");
         let ev2 = ev.clone();
-        sim.spawn("waiter", move |ctx| {
-            ctx.wait_event(&ev);
+        sim.spawn("waiter", move |mut ctx| async move {
+            ctx.wait_event(&ev).await;
             assert_eq!(ctx.now(), Time::ns(25));
         });
         sim.spawn("notifier", move |_ctx| {
@@ -129,11 +129,11 @@ mod tests {
     fn notification_without_waiters_is_harmless() {
         let mut sim = Simulator::new();
         let ev = sim.event("nobody");
-        sim.spawn("p", move |ctx| {
+        sim.spawn("p", move |mut ctx| async move {
             ev.notify_immediate();
             ev.notify_delta();
             ev.notify_delayed(Time::ns(5));
-            ctx.wait(Time::ns(1));
+            ctx.wait(Time::ns(1)).await;
         });
         // The pending delayed notification still advances simulated time
         // to 5ns (as in SystemC) and then everything ends cleanly.
@@ -155,12 +155,12 @@ mod tests {
         let mut sim = Simulator::new();
         let ev = sim.event("late");
         let ev2 = ev.clone();
-        sim.spawn("shortlived", move |ctx| {
+        sim.spawn("shortlived", move |mut ctx| async move {
             // Waits once, gets woken, terminates before the second fire.
-            ctx.wait_event(&ev);
+            ctx.wait_event(&ev).await;
         });
-        sim.spawn("notifier", move |ctx| {
-            ctx.wait(Time::ns(1));
+        sim.spawn("notifier", move |mut ctx| async move {
+            ctx.wait(Time::ns(1)).await;
             ev2.notify_immediate();
             ev2.notify_delayed(Time::ns(10)); // no one left to hear this
         });

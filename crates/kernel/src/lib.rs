@@ -17,10 +17,11 @@
 //! * deterministic execution: runnable processes within a delta execute in
 //!   spawn order, so the same model always produces the same trace.
 //!
-//! Each process runs on its own OS thread, but a run-baton guarantees that
-//! exactly one of {scheduler, one process} executes at any instant; this is
-//! behaviourally identical to SystemC's coroutines while letting process
-//! bodies be ordinary Rust closures with blocking channel calls.
+//! The kernel is coroutine-based, like SystemC: a process body is an
+//! `async` block, and the scheduler polls the runnable process futures in
+//! pid order on its own thread. Every `.await` on a wait or a blocking
+//! channel operation suspends the process — that is where one of the
+//! paper's §2 segments ends — and no OS thread is created per process.
 //!
 //! # Examples
 //!
@@ -33,16 +34,16 @@
 //! let ch = sim.fifo::<i64>("samples", 8);
 //! let (tx, rx) = (ch.clone(), ch);
 //!
-//! sim.spawn("producer", move |ctx| {
+//! sim.spawn("producer", move |mut ctx| async move {
 //!     for i in 0..16 {
-//!         tx.write(ctx, i * i);
-//!         ctx.wait(Time::us(1));
+//!         tx.write(&mut ctx, i * i).await;
+//!         ctx.wait(Time::us(1)).await;
 //!     }
 //! });
-//! sim.spawn("consumer", move |ctx| {
+//! sim.spawn("consumer", move |mut ctx| async move {
 //!     let mut acc = 0;
 //!     for _ in 0..16 {
-//!         acc += rx.read(ctx);
+//!         acc += rx.read(&mut ctx).await;
 //!     }
 //!     ctx.emit_trace("done", acc.to_string());
 //! });
@@ -54,11 +55,9 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod baton;
 mod channel;
 mod config;
 mod event;
-mod handoff;
 mod parallel;
 mod process;
 mod sim;
@@ -71,8 +70,7 @@ mod wheel;
 pub use channel::{Fifo, Rendezvous, Signal, SimMutex, SimSemaphore};
 pub use config::{SimOptions, TraceMode};
 pub use event::Event;
-pub use handoff::HandoffKind;
-pub use process::{ProcCtx, ProcId};
+pub use process::{AsyncBody, PlainBody, ProcCtx, ProcId, ProcessBody, Wait};
 pub use sim::{SimError, SimSummary, Simulator, StopReason};
 pub use state::{ChannelSchedStats, ProcSchedStats, SchedSnapshot};
 pub use time::{Time, TimeFromFloatError};

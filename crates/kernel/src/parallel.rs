@@ -11,11 +11,12 @@
 //! 1. At the start of a parallel round the scheduler snapshots the
 //!    runnable set (ascending pid), flips [`ParShared::active`], and
 //!    installs a [`RoundGate`] listing the round's members.
-//! 2. Process bodies run concurrently, one pool worker per pid chunk.
+//! 2. The members' futures are polled concurrently, one pool worker
+//!    per ascending pid chunk (chunk 0 on the scheduler thread).
 //!    Kernel-visible side effects (schedules, event waits/notifies,
 //!    trace records) are appended to the process's own [`Effect`] log
 //!    instead of mutating [`crate::state::KernelState`] directly.
-//! 3. When every member has yielded, the scheduler *commits*: it
+//! 3. When every member's poll has returned, the scheduler *commits*: it
 //!    replays each log in ascending-pid order — each effect in program
 //!    order — through the exact same `KernelState` functions the
 //!    sequential kernel uses. Sequence numbers, metrics and the trace
@@ -28,7 +29,6 @@
 //! lower-pid member of the round has yielded — serializing just those
 //! interactions in canonical pid order while everything else overlaps.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -38,29 +38,11 @@ use scperf_sync::{Condvar, Mutex};
 use crate::state::TimedAction;
 use crate::time::Time;
 
-thread_local! {
-    /// Pid of the simulation process running on this OS thread, if any.
-    /// Set once at process-thread startup; `usize::MAX` = not a process
-    /// thread. Needed because `Event::notify_*` have no `ProcCtx`.
-    static CURRENT_PID: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// Marks the calling OS thread as running simulation process `pid`.
-pub(crate) fn set_current_pid(pid: usize) {
-    CURRENT_PID.with(|c| c.set(pid));
-}
-
-/// The simulation pid running on this thread, if any.
-pub(crate) fn current_pid() -> Option<usize> {
-    let pid = CURRENT_PID.with(|c| c.get());
-    (pid != usize::MAX).then_some(pid)
-}
-
 /// One buffered kernel-visible side effect of a process running inside
 /// a parallel evaluate round. Replayed in (pid, program-order) at
 /// commit through the normal sequential `KernelState` entry points.
 pub(crate) enum Effect {
-    /// `ctx.wait(delay)` or `Event::notify_delayed`: push onto the
+    /// `ctx.wait(delay).await` or `Event::notify_delayed`: push onto the
     /// timer wheel (reproduces the wheel's FIFO `seq` numbers because
     /// replay order equals canonical order).
     Schedule {
@@ -69,7 +51,7 @@ pub(crate) enum Effect {
         /// What fires when the timer expires.
         action: TimedAction,
     },
-    /// `ctx.wait_event(ev)`: park this process on the event's waiter
+    /// `ctx.wait_event(ev).await`: park this process on the event's waiter
     /// set.
     WaitEvent {
         /// Target event id.
@@ -319,17 +301,6 @@ mod tests {
         assert!(!t.is_finished(), "pid 5 has not yielded yet");
         gate.mark_yielded(5);
         t.join().unwrap();
-    }
-
-    #[test]
-    fn current_pid_is_thread_local() {
-        assert_eq!(current_pid(), None);
-        set_current_pid(3);
-        assert_eq!(current_pid(), Some(3));
-        std::thread::spawn(|| assert_eq!(current_pid(), None))
-            .join()
-            .unwrap();
-        CURRENT_PID.with(|c| c.set(usize::MAX));
     }
 
     #[test]

@@ -1,21 +1,23 @@
 //! The simulator: elaboration (spawning processes, creating channels) and
 //! the scheduler loop.
+//!
+//! Every process is a future. The scheduler polls the runnable ones in
+//! pid order on its own thread; a poll returns when the body awaits its
+//! next kernel wait (or finishes). The kernel's waiter sets and timed
+//! queue already say which pids are runnable, so the futures are polled
+//! with a no-op waker.
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use scperf_obs::{MemorySink, MetricsSnapshot, TraceSink, TraceTable};
 
-use crate::baton::{
-    clear_panic_suppression, install_silent_kill_hook, panic_message, KillToken, RunState,
-};
 use crate::config::{SimOptions, TraceMode};
 use crate::event::Event;
-use crate::handoff::{Baton, HandoffKind};
 use crate::parallel::Effect;
-use crate::process::{ProcCtx, ProcId};
+use crate::process::{
+    mark_suspended, poll_process, Activation, ProcCtx, ProcFuture, ProcId, ProcessBody,
+};
 use crate::state::{AdvanceOutcome, ProcMeta, SchedSnapshot, Shared};
 use crate::time::Time;
 use crate::trace::TraceRecord;
@@ -64,6 +66,15 @@ pub enum SimError {
         /// Human-readable description of the conflicting construct.
         detail: String,
     },
+    /// A process body awaited a future that is not a kernel wait: its
+    /// poll returned `Pending` without registering a wake-up, so the
+    /// scheduler could never run it again. Processes may only suspend on
+    /// [`ProcCtx::wait`], [`ProcCtx::wait_event`] and the channel
+    /// operations built on them. The simulator is poisoned afterwards.
+    ForeignAwait {
+        /// Name of the offending process.
+        process: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -78,23 +89,25 @@ impl fmt::Display for SimError {
                     "non-determinate construct under parallel evaluation: {detail}"
                 )
             }
+            SimError::ForeignAwait { process } => {
+                write!(
+                    f,
+                    "process '{process}' suspended on a future the kernel cannot wake \
+                     (only ProcCtx waits and channel operations may be awaited)"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for SimError {}
 
-struct ProcHandle {
-    baton: Arc<Baton>,
-    thread: Option<JoinHandle<()>>,
-}
-
 /// A discrete-event simulator with SystemC semantics.
 ///
 /// Elaborate the model by spawning processes ([`Simulator::spawn`]) and
-/// creating channels, then call [`Simulator::run`]. Each process runs on its
-/// own OS thread but the kernel hands out a single run-baton, so execution
-/// is cooperative and deterministic: within a delta cycle, runnable
+/// creating channels, then call [`Simulator::run`]. Each process body is
+/// a future that the scheduler polls on its own thread, so execution is
+/// cooperative and deterministic: within a delta cycle, runnable
 /// processes execute in spawn order.
 ///
 /// # Examples
@@ -105,15 +118,15 @@ struct ProcHandle {
 /// let mut sim = Simulator::new();
 /// let fifo = sim.fifo::<u32>("data", 2);
 /// let (tx, rx) = (fifo.clone(), fifo);
-/// sim.spawn("producer", move |ctx| {
+/// sim.spawn("producer", move |mut ctx| async move {
 ///     for i in 0..4 {
-///         tx.write(ctx, i);
+///         tx.write(&mut ctx, i).await;
 ///     }
 /// });
-/// sim.spawn("consumer", move |ctx| {
+/// sim.spawn("consumer", move |mut ctx| async move {
 ///     let mut sum = 0;
 ///     for _ in 0..4 {
-///         sum += rx.read(ctx);
+///         sum += rx.read(&mut ctx).await;
 ///     }
 ///     assert_eq!(sum, 6);
 /// });
@@ -123,34 +136,43 @@ struct ProcHandle {
 /// ```
 pub struct Simulator {
     shared: Arc<Shared>,
-    procs: Vec<ProcHandle>,
+    /// One future per spawned process, indexed by pid; `None` once the
+    /// process terminated.
+    procs: Vec<Option<ProcFuture>>,
     errored: bool,
-    handoff: HandoffKind,
-    /// Accumulated process→scheduler resume latency (direct handoff
-    /// only), exported through [`Simulator::metrics`].
-    handoff_resume_nanos: u64,
-    handoff_resumes: u64,
-    /// Evaluate-phase parallelism degree; 1 = the sequential baton
-    /// path, preserved verbatim.
+    /// Accumulated process→scheduler resume latency: host time from a
+    /// process suspending to its poll returning, exported through
+    /// [`Simulator::metrics`] as `kernel.handoff.*`.
+    resume_nanos: u64,
+    resumes: u64,
+    /// Evaluate-phase parallelism degree; 1 = the sequential poll loop.
     jobs: usize,
-    /// Lazily created dispatcher pool for parallel rounds (`jobs - 1`
-    /// workers; the scheduler thread runs the first chunk inline).
+    /// Lazily created dispatcher pool for parallel rounds (one worker
+    /// fewer than [`Simulator::dispatchers`]; the scheduler thread polls
+    /// the first chunk inline).
     pool: Option<scperf_sync::WorkerPool>,
 }
 
 impl Simulator {
-    /// Creates an empty simulator using the default handoff protocol
-    /// ([`HandoffKind::default_kind`]).
+    /// Creates an empty simulator with default options.
     pub fn new() -> Simulator {
-        Simulator::new_with_handoff(HandoffKind::default_kind())
+        Simulator::with_options(SimOptions::new())
     }
 
     /// Creates an empty simulator from a [`SimOptions`] value: the
-    /// handoff protocol plus the trace-sink wiring, in one place. This
-    /// is the constructor the `scperf_core::SimConfig` session builder
-    /// threads its kernel half through.
+    /// parallelism degree, attribution and the trace-sink wiring, in one
+    /// place. This is the constructor the `scperf_core::SimConfig`
+    /// session builder threads its kernel half through.
     pub fn with_options(options: SimOptions) -> Simulator {
-        let mut sim = Simulator::new_with_handoff(options.handoff);
+        let mut sim = Simulator {
+            shared: Shared::new(),
+            procs: Vec::new(),
+            errored: false,
+            resume_nanos: 0,
+            resumes: 0,
+            jobs: 1,
+            pool: None,
+        };
         sim.set_jobs(options.jobs);
         if options.attribution {
             sim.set_attribution(true);
@@ -164,39 +186,6 @@ impl Simulator {
             },
         }
         sim
-    }
-
-    /// Creates an empty simulator with an explicit scheduler↔process
-    /// handoff protocol. [`HandoffKind::Direct`] is the fast path;
-    /// [`HandoffKind::CondvarBaton`] is the original mutex+condvar
-    /// protocol, kept for debugging and as the A/B baseline of the
-    /// kernel microbenches. Both produce bit-identical traces.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `SimOptions::new().handoff(kind).build()` (or the \
-                `scperf_core::SimConfig` session builder)"
-    )]
-    pub fn with_handoff(kind: HandoffKind) -> Simulator {
-        Simulator::new_with_handoff(kind)
-    }
-
-    fn new_with_handoff(kind: HandoffKind) -> Simulator {
-        install_silent_kill_hook();
-        Simulator {
-            shared: Shared::new(),
-            procs: Vec::new(),
-            errored: false,
-            handoff: kind,
-            handoff_resume_nanos: 0,
-            handoff_resumes: 0,
-            jobs: 1,
-            pool: None,
-        }
-    }
-
-    /// The handoff protocol this simulator dispatches processes with.
-    pub fn handoff_kind(&self) -> HandoffKind {
-        self.handoff
     }
 
     /// Sets the evaluate-phase parallelism degree (normally through
@@ -215,15 +204,19 @@ impl Simulator {
         self.jobs
     }
 
-    /// Spawns a process (the analogue of `SC_THREAD`). The body runs when
-    /// the simulation starts and the process terminates when it returns.
+    /// Spawns a process (the analogue of `SC_THREAD`). `body` receives
+    /// the process's [`ProcCtx`] and returns the process future —
+    /// normally an `async move` block that awaits waits and channel
+    /// operations (see [`ProcessBody`]). The body runs when the
+    /// simulation starts and the process terminates when it returns.
     ///
     /// # Panics
     ///
     /// Panics if called after the simulation has started.
-    pub fn spawn<F>(&mut self, name: impl Into<String>, body: F) -> ProcId
+    pub fn spawn<F, R, M>(&mut self, name: impl Into<String>, body: F) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(ProcCtx) -> R + Send + 'static,
+        R: ProcessBody<M>,
     {
         let name = name.into();
         let pid = self.shared.with_state(|st| {
@@ -231,41 +224,17 @@ impl Simulator {
                 !st.started,
                 "processes must be spawned before the simulation starts"
             );
-            st.procs.push(ProcMeta::new(name.clone()));
+            st.procs.push(ProcMeta::new(name));
             st.procs.len() - 1
         });
-        let baton = Arc::new(Baton::new(self.handoff));
-        let mut ctx = ProcCtx {
+        let ctx = ProcCtx {
             pid,
             shared: Arc::clone(&self.shared),
-            baton: Arc::clone(&baton),
         };
-        let thread_baton = Arc::clone(&baton);
-        let thread = std::thread::Builder::new()
-            .name(format!("scperf-proc-{name}"))
-            .spawn(move || {
-                // Mark this OS thread as pid's, so `Event::notify_*`
-                // (which carry no ProcCtx) can route buffered effects
-                // to the right log during parallel rounds.
-                crate::parallel::set_current_pid(pid);
-                if !thread_baton.wait_first_dispatch() {
-                    return; // killed before ever running
-                }
-                let result = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-                clear_panic_suppression();
-                let msg = match result {
-                    Ok(()) => None,
-                    Err(payload) if payload.is::<KillToken>() => return,
-                    Err(payload) => Some(panic_message(payload.as_ref())),
-                };
-                thread_baton.finish(msg);
-            })
-            .expect("failed to spawn process thread");
-        baton.set_proc_thread(thread.thread().clone());
-        self.procs.push(ProcHandle {
-            baton,
-            thread: Some(thread),
-        });
+        self.procs.push(Some(Box::pin(async move {
+            body(ctx).into_process_future().await;
+            mark_suspended();
+        })));
         ProcId(pid)
     }
 
@@ -340,18 +309,18 @@ impl Simulator {
     /// notification counts, per-channel access counts, …). Available at
     /// any point, with or without tracing.
     ///
-    /// On the direct-handoff scheduler this includes the accumulated
-    /// process→scheduler resume latency (`kernel.handoff.*`): the host
-    /// time from a process releasing the baton to the scheduler
-    /// observing it.
+    /// This includes the accumulated process→scheduler resume latency
+    /// (`kernel.handoff.*`): one resume per activation, timed from the
+    /// process suspending on a kernel wait (or finishing) to the
+    /// scheduler continuing after its poll.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut m = self.shared.with_state(|st| st.metrics_snapshot());
-        m.set_counter("kernel.handoff.resumes", self.handoff_resumes);
-        m.set_counter("kernel.handoff.resume_nanos", self.handoff_resume_nanos);
-        if self.handoff_resumes > 0 {
+        m.set_counter("kernel.handoff.resumes", self.resumes);
+        m.set_counter("kernel.handoff.resume_nanos", self.resume_nanos);
+        if self.resumes > 0 {
             m.set_gauge(
                 "kernel.handoff.mean_resume_ns",
-                self.handoff_resume_nanos as f64 / self.handoff_resumes as f64,
+                self.resume_nanos as f64 / self.resumes as f64,
             );
         }
         if self.jobs > 1 {
@@ -389,7 +358,7 @@ impl Simulator {
 
     /// Current simulation time.
     pub fn now(&self) -> Time {
-        self.shared.with_state(|st| st.now)
+        self.shared.now_fast()
     }
 
     /// The name of a process.
@@ -417,8 +386,9 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::ProcessPanic`] if any process body panics; the
-    /// simulator cannot be resumed afterwards.
+    /// Returns [`SimError::ProcessPanic`] if any process body panics and
+    /// [`SimError::ForeignAwait`] if one suspends on a future the kernel
+    /// cannot wake; the simulator cannot be resumed afterwards.
     pub fn run(&mut self) -> Result<SimSummary, SimError> {
         self.run_until(Time::MAX)
     }
@@ -428,16 +398,9 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::ProcessPanic`] if any process body panics.
+    /// As [`Simulator::run`].
     pub fn run_until(&mut self, limit: Time) -> Result<SimSummary, SimError> {
         assert!(!self.errored, "simulator is poisoned by an earlier error");
-        // Register this thread as the unpark target for process yields.
-        // Every process is parked (or not yet started) here, so the
-        // direct-handoff cells are safe to write.
-        let scheduler = std::thread::current();
-        for proc in &self.procs {
-            proc.baton.set_scheduler(&scheduler);
-        }
         self.shared.with_state(|st| {
             if !st.started {
                 st.started = true;
@@ -491,7 +454,12 @@ impl Simulator {
                 continue;
             }
             // Timed notification phase.
-            match self.shared.with_state(|st| st.advance_time(limit)) {
+            let advanced = self.shared.with_state(|st| {
+                let outcome = st.advance_time(limit);
+                self.shared.publish_now(st);
+                outcome
+            });
+            match advanced {
                 AdvanceOutcome::Advanced => continue,
                 AdvanceOutcome::LimitReached => break StopReason::TimeLimit,
                 AdvanceOutcome::Exhausted => break StopReason::EventsExhausted,
@@ -505,19 +473,22 @@ impl Simulator {
         }))
     }
 
+    fn note_resume(&mut self, latency: Option<u64>) {
+        if let Some(ns) = latency {
+            self.resume_nanos += ns;
+            self.resumes += 1;
+        }
+    }
+
+    /// Polls process `pid` once on the scheduler thread and books the
+    /// activation.
     fn dispatch(&mut self, pid: usize) -> Result<(), SimError> {
-        if self.jobs > 1 {
-            // A previous parallel round may have registered a pool
-            // worker as this baton's yield target; point it back at
-            // the scheduler thread. (Safe: the process is parked.)
-            self.procs[pid].baton.set_scheduler(&std::thread::current());
-        }
-        let (outcome, latency) = self.procs[pid].baton.dispatch();
-        if let Some(lat) = latency {
-            self.handoff_resume_nanos += lat.as_nanos() as u64;
-            self.handoff_resumes += 1;
-        }
-        let waiting = matches!(outcome, RunState::Waiting);
+        let fut = self.procs[pid]
+            .as_mut()
+            .expect("a runnable process has a live future");
+        let (outcome, latency) = poll_process(pid, fut);
+        self.note_resume(latency);
+        let waiting = matches!(outcome, Activation::Suspended);
         self.shared.with_state(|st| {
             st.activations += 1;
             if st.attribution {
@@ -531,26 +502,26 @@ impl Simulator {
             }
         });
         match outcome {
-            RunState::Waiting => Ok(()),
-            RunState::Done(None) => {
+            Activation::Suspended => Ok(()),
+            Activation::Finished => {
                 self.shared.with_state(|st| st.procs[pid].alive = false);
-                if let Some(t) = self.procs[pid].thread.take() {
-                    let _ = t.join();
-                }
+                self.procs[pid] = None;
                 Ok(())
             }
-            RunState::Done(Some(message)) => {
+            Activation::Panicked(message) => {
                 self.errored = true;
+                self.procs[pid] = None;
                 let process = self.shared.with_state(|st| {
                     st.procs[pid].alive = false;
                     st.procs[pid].name.clone()
                 });
-                if let Some(t) = self.procs[pid].thread.take() {
-                    let _ = t.join();
-                }
                 Err(SimError::ProcessPanic { process, message })
             }
-            other => unreachable!("dispatch observed unexpected state {other:?}"),
+            Activation::Foreign => {
+                self.errored = true;
+                let process = self.shared.with_state(|st| st.procs[pid].name.clone());
+                Err(SimError::ForeignAwait { process })
+            }
         }
     }
 
@@ -566,9 +537,21 @@ impl Simulator {
             && self.shared.par.logs_fit(self.procs.len())
     }
 
+    /// How many threads poll a parallel round: `jobs`, but no more than
+    /// the host has CPUs (and at least two, so a round stays a round).
+    /// A poll is far cheaper than a pool hand-off, so dispatchers beyond
+    /// the CPU count only add wake-ups; the chunking never changes the
+    /// committed result.
+    fn dispatchers(&self) -> usize {
+        static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        let cpus =
+            *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        self.jobs.min(cpus.max(2))
+    }
+
     /// Runs one evaluate phase in parallel: snapshot the runnable set,
-    /// dispatch ascending-pid chunks across the pool (chunk 0 inline on
-    /// the scheduler thread), then commit every buffered effect in
+    /// poll ascending-pid chunks of it across the pool (chunk 0 inline
+    /// on the scheduler thread), then commit every buffered effect in
     /// canonical pid order. See `docs/PARALLELISM.md` for the contract.
     fn evaluate_parallel(&mut self) -> Result<(), SimError> {
         use std::sync::atomic::Ordering;
@@ -581,44 +564,48 @@ impl Simulator {
             .with_state(|st| st.runnable.iter().copied().collect());
         let nprocs = self.procs.len();
         let gate = self.shared.par.begin_round(members.clone(), nprocs);
-        let workers = self.jobs.min(members.len());
+        let dispatchers = self.dispatchers();
+        let workers = dispatchers.min(members.len());
         if workers > 1 && self.pool.is_none() {
-            self.pool = Some(scperf_sync::WorkerPool::new("scperf-par", self.jobs - 1));
+            self.pool = Some(scperf_sync::WorkerPool::new("scperf-par", dispatchers - 1));
         }
-
-        type Outcomes = scperf_sync::Mutex<Vec<(usize, RunState, Option<std::time::Duration>)>>;
-        let outcomes: Arc<Outcomes> = Arc::new(scperf_sync::Mutex::new(Vec::new()));
+        let polled: Arc<Polled> = Arc::new(scperf_sync::Mutex::new(Vec::new()));
 
         // One contiguous ascending chunk per dispatcher. Ascending
         // order within a chunk is what keeps the pid-order fences
-        // deadlock-free: the smallest non-yielded pid is always at the
+        // deadlock-free: the smallest unpolled pid is always at the
         // head of some dispatcher's chunk.
         let base = members.len() / workers;
         let extra = members.len() % workers;
-        let mut start = 0usize;
-        let mut chunks: Vec<Vec<(usize, Arc<Baton>)>> = Vec::with_capacity(workers);
+        let mut rest = members.iter();
+        let mut chunks: Vec<Vec<(usize, ProcFuture)>> = Vec::with_capacity(workers);
         for w in 0..workers {
             let len = base + usize::from(w < extra);
-            let chunk = members[start..start + len]
-                .iter()
-                .map(|&pid| (pid, Arc::clone(&self.procs[pid].baton)))
+            let chunk = rest
+                .by_ref()
+                .take(len)
+                .map(|&pid| {
+                    let fut = self.procs[pid]
+                        .take()
+                        .expect("a runnable process has a live future");
+                    (pid, fut)
+                })
                 .collect();
             chunks.push(chunk);
-            start += len;
         }
         let mut chunk_iter = chunks.into_iter();
         let inline_chunk = chunk_iter.next().expect("at least one chunk");
         for chunk in chunk_iter {
             let gate = Arc::clone(&gate);
-            let outcomes = Arc::clone(&outcomes);
+            let polled = Arc::clone(&polled);
             let pool = self.pool.as_ref().expect("pool exists when workers > 1");
-            pool.submit(move || run_chunk(chunk, &gate, &outcomes));
+            pool.submit(move || poll_chunk(chunk, &gate, &polled));
         }
-        run_chunk(inline_chunk, &gate, &outcomes);
+        poll_chunk(inline_chunk, &gate, &polled);
         if let Some(pool) = &self.pool {
             pool.wait_idle();
         }
-        // Every member has yielded; flip back to live-kernel mode so
+        // Every member's poll returned; flip back to live-kernel mode so
         // the commit replay below goes through the normal paths.
         self.shared.par.end_round();
         self.shared.par.rounds.fetch_add(1, Ordering::Relaxed);
@@ -627,21 +614,19 @@ impl Simulator {
             .workers
             .fetch_max(workers as u64, Ordering::Relaxed);
 
+        let mut outs: Vec<Option<Activation>> = (0..nprocs).map(|_| None).collect();
+        for (pid, fut, outcome, latency) in std::mem::take(&mut *polled.lock()) {
+            self.note_resume(latency);
+            self.procs[pid] = Some(fut);
+            outs[pid] = Some(outcome);
+        }
+
         // Conflicting same-delta accesses detected mid-round mean the
         // model is not a determinate spec: report, don't race.
         let hazards = self.shared.par.take_hazards();
         if let Some(detail) = hazards.into_iter().next() {
             self.errored = true;
             return Err(SimError::NonDeterminate { detail });
-        }
-
-        let mut outs: Vec<Option<RunState>> = (0..nprocs).map(|_| None).collect();
-        for (pid, state, latency) in std::mem::take(&mut *outcomes.lock()) {
-            if let Some(lat) = latency {
-                self.handoff_resume_nanos += lat.as_nanos() as u64;
-                self.handoff_resumes += 1;
-            }
-            outs[pid] = Some(state);
         }
 
         // Commit: replay each member's effects in ascending pid order,
@@ -691,12 +676,12 @@ impl Simulator {
                 }
                 st.activations += 1;
                 match outs[pid].take() {
-                    Some(RunState::Waiting) | None => {}
-                    Some(RunState::Done(None)) => {
+                    Some(Activation::Suspended) | None => {}
+                    Some(Activation::Finished) => {
                         st.procs[pid].alive = false;
                         finished.push(pid);
                     }
-                    Some(RunState::Done(Some(message))) => {
+                    Some(Activation::Panicked(message)) => {
                         st.procs[pid].alive = false;
                         finished.push(pid);
                         return Err(SimError::ProcessPanic {
@@ -704,7 +689,11 @@ impl Simulator {
                             message,
                         });
                     }
-                    Some(other) => unreachable!("parallel dispatch observed {other:?}"),
+                    Some(Activation::Foreign) => {
+                        return Err(SimError::ForeignAwait {
+                            process: st.procs[pid].name.clone(),
+                        });
+                    }
                 }
             }
             st.current = None;
@@ -719,9 +708,7 @@ impl Simulator {
             .commit_nanos
             .fetch_add(commit_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         for pid in finished {
-            if let Some(t) = self.procs[pid].thread.take() {
-                let _ = t.join();
-            }
+            self.procs[pid] = None;
         }
         if result.is_err() {
             self.errored = true;
@@ -731,37 +718,35 @@ impl Simulator {
 
     /// Returns this simulator to its just-constructed state so a pooled
     /// slot can be reused without paying thread-pool, allocation and
-    /// interner setup again: every process thread is killed and joined,
-    /// the kernel state (time, queues, events, process table, metrics,
+    /// interner setup again: every process future is dropped (running
+    /// the destructors of whatever a blocked process still held), the
+    /// kernel state (time, queues, events, process table, metrics,
     /// channel registries, trace sink) is cleared in place, the
     /// `kernel.par.*` counters are zeroed, and the error/poison flag is
     /// cleared — a [`SimError::NonDeterminate`] in the previous life
-    /// does not poison the next one. The handoff protocol, `jobs`
-    /// degree, attribution flag and the lazily created dispatcher pool
-    /// are kept.
+    /// does not poison the next one. The `jobs` degree, attribution flag
+    /// and the lazily created dispatcher pool are kept.
     ///
     /// After a reset the simulator behaves exactly like
     /// `Simulator::with_options` with the same options: spawn processes,
     /// create channels, run. Verified bit-identical to a fresh build by
     /// the core pool determinism tests.
     pub fn reset(&mut self) {
-        // Tear down the previous life's processes (same as Drop).
+        // Break the kernel ↔ channel reference cycle, then drop the
+        // previous life's processes (same as Drop).
         self.shared.with_state(|st| st.clear_update_hooks());
-        for proc in &mut self.procs {
-            proc.baton.kill();
-            if let Some(t) = proc.thread.take() {
-                let _ = t.join();
-            }
-        }
         self.procs.clear();
         // Drop the sink through `set_sink` so the lock-free tracing
         // mirror stays in sync, then clear the state in place.
         self.shared.set_sink(None);
-        self.shared.with_state(|st| st.reset());
+        self.shared.with_state(|st| {
+            st.reset();
+            self.shared.publish_now(st);
+        });
         self.shared.par.reset_counters();
         self.errored = false;
-        self.handoff_resume_nanos = 0;
-        self.handoff_resumes = 0;
+        self.resume_nanos = 0;
+        self.resumes = 0;
     }
 
     pub(crate) fn shared(&self) -> &Arc<Shared> {
@@ -769,23 +754,18 @@ impl Simulator {
     }
 }
 
-/// Dispatches one ascending chunk of a parallel round: registers the
-/// calling thread as each baton's yield target, runs the process until
-/// it yields, and marks it yielded on the round gate (releasing any
-/// higher-pid fences waiting on it).
-fn run_chunk(
-    chunk: Vec<(usize, Arc<Baton>)>,
-    gate: &crate::parallel::RoundGate,
-    outcomes: &scperf_sync::Mutex<Vec<(usize, RunState, Option<std::time::Duration>)>>,
-) {
-    let me = std::thread::current();
-    for (pid, baton) in chunk {
-        // Safe: the process is parked and this dispatcher holds its
-        // baton, which is exactly the set_scheduler contract.
-        baton.set_scheduler(&me);
-        let (state, latency) = baton.dispatch();
+/// What each dispatcher of a parallel round hands back per member: the
+/// pid, its future, how the poll ended and the resume latency.
+type Polled = scperf_sync::Mutex<Vec<(usize, ProcFuture, Activation, Option<u64>)>>;
+
+/// Polls one ascending chunk of a parallel round on the calling thread,
+/// marking each member yielded on the round gate as its poll returns
+/// (releasing any higher-pid fences waiting on it).
+fn poll_chunk(chunk: Vec<(usize, ProcFuture)>, gate: &crate::parallel::RoundGate, polled: &Polled) {
+    for (pid, mut fut) in chunk {
+        let (outcome, latency) = poll_process(pid, &mut fut);
         gate.mark_yielded(pid);
-        outcomes.lock().push((pid, state, latency));
+        polled.lock().push((pid, fut, outcome, latency));
     }
 }
 
@@ -797,14 +777,11 @@ impl Default for Simulator {
 
 impl Drop for Simulator {
     fn drop(&mut self) {
-        // Break the kernel ↔ channel reference cycle.
+        // Break the kernel ↔ channel reference cycle; the process
+        // futures (and everything blocked processes hold) drop with
+        // `procs`.
         self.shared.with_state(|st| st.clear_update_hooks());
-        for proc in &mut self.procs {
-            proc.baton.kill();
-            if let Some(t) = proc.thread.take() {
-                let _ = t.join();
-            }
-        }
+        self.procs.clear();
     }
 }
 
@@ -833,9 +810,9 @@ mod tests {
     #[test]
     fn single_process_advances_time() {
         let mut sim = Simulator::new();
-        sim.spawn("p", |ctx| {
-            ctx.wait(Time::ns(5));
-            ctx.wait(Time::ns(7));
+        sim.spawn("p", |mut ctx| async move {
+            ctx.wait(Time::ns(5)).await;
+            ctx.wait(Time::ns(7)).await;
         });
         let s = sim.run().unwrap();
         assert_eq!(s.end_time, Time::ns(12));
@@ -848,12 +825,12 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let mut sim = Simulator::new();
         let tx1 = tx.clone();
-        sim.spawn("a", move |ctx| {
-            ctx.wait(Time::ns(10));
+        sim.spawn("a", move |mut ctx| async move {
+            ctx.wait(Time::ns(10)).await;
             tx1.send(("a", ctx.now())).unwrap();
         });
-        sim.spawn("b", move |ctx| {
-            ctx.wait(Time::ns(5));
+        sim.spawn("b", move |mut ctx| async move {
+            ctx.wait(Time::ns(5)).await;
             tx.send(("b", ctx.now())).unwrap();
         });
         sim.run().unwrap();
@@ -868,8 +845,8 @@ mod tests {
         let mut sim = Simulator::new();
         for name in ["x", "y", "z"] {
             let tx = tx.clone();
-            sim.spawn(name, move |ctx| {
-                ctx.wait(Time::ns(3));
+            sim.spawn(name, move |mut ctx| async move {
+                ctx.wait(Time::ns(3)).await;
                 tx.send(name).unwrap();
             });
         }
@@ -881,8 +858,8 @@ mod tests {
     #[test]
     fn run_until_pauses_and_resumes() {
         let mut sim = Simulator::new();
-        sim.spawn("p", |ctx| {
-            ctx.wait(Time::ns(100));
+        sim.spawn("p", |mut ctx| async move {
+            ctx.wait(Time::ns(100)).await;
         });
         let s = sim.run_until(Time::ns(10)).unwrap();
         assert_eq!(s.reason, StopReason::TimeLimit);
@@ -895,9 +872,9 @@ mod tests {
     #[test]
     fn zero_wait_is_one_timestep() {
         let mut sim = Simulator::new();
-        sim.spawn("p", |ctx| {
+        sim.spawn("p", |mut ctx| async move {
             let d0 = ctx.delta_count();
-            ctx.wait(Time::ZERO);
+            ctx.wait(Time::ZERO).await;
             assert_eq!(ctx.now(), Time::ZERO);
             assert!(ctx.delta_count() > d0);
         });
@@ -909,12 +886,12 @@ mod tests {
         let mut sim = Simulator::new();
         let ev = sim.event("go");
         let ev2 = ev.clone();
-        sim.spawn("waiter", move |ctx| {
-            ctx.wait_event(&ev);
+        sim.spawn("waiter", move |mut ctx| async move {
+            ctx.wait_event(&ev).await;
             assert_eq!(ctx.now(), Time::ns(42));
         });
-        sim.spawn("notifier", move |ctx| {
-            ctx.wait(Time::ns(42));
+        sim.spawn("notifier", move |mut ctx| async move {
+            ctx.wait(Time::ns(42)).await;
             ev2.notify_delta();
         });
         let s = sim.run().unwrap();
@@ -928,8 +905,8 @@ mod tests {
         let ev2 = ev.clone();
         // waiter (pid 0) waits first, notifier (pid 1) fires immediately at
         // time zero; the waiter must complete in the same delta.
-        sim.spawn("waiter", move |ctx| {
-            ctx.wait_event(&ev);
+        sim.spawn("waiter", move |mut ctx| async move {
+            ctx.wait_event(&ev).await;
             assert_eq!(ctx.delta_count(), 0);
         });
         sim.spawn("notifier", move |_ctx| {
@@ -941,7 +918,7 @@ mod tests {
     #[test]
     fn process_panic_is_reported() {
         let mut sim = Simulator::new();
-        sim.spawn("bad", |_ctx| panic!("deliberate test panic"));
+        sim.spawn("bad", |_ctx| async { panic!("deliberate test panic") });
         let err = sim.run().unwrap_err();
         match err {
             SimError::ProcessPanic { process, message } => {
@@ -952,25 +929,159 @@ mod tests {
         }
     }
 
-    #[test]
-    fn drop_kills_blocked_processes() {
-        let mut sim = Simulator::new();
+    /// Counts its drops, standing in for whatever a blocked process
+    /// holds (buffers, handles, guards).
+    struct DropCounter(Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Drop for DropCounter {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    /// Spawns `n` processes that each hold a [`DropCounter`] and block
+    /// forever on an event nobody notifies.
+    fn spawn_stuck(sim: &mut Simulator, n: usize, drops: &Arc<std::sync::atomic::AtomicUsize>) {
         let ev = sim.event("never");
-        sim.spawn("stuck", move |ctx| {
-            ctx.wait_event(&ev); // never notified
-            unreachable!();
-        });
+        for i in 0..n {
+            let (ev, held) = (ev.clone(), DropCounter(Arc::clone(drops)));
+            sim.spawn(format!("stuck{i}"), move |mut ctx| async move {
+                let _held = held;
+                ctx.wait_event(&ev).await; // never notified
+                unreachable!();
+            });
+        }
+    }
+
+    #[test]
+    fn drop_runs_destructors_of_blocked_processes() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut sim = Simulator::new();
+        spawn_stuck(&mut sim, 3, &drops);
         let s = sim.run().unwrap();
         assert_eq!(s.reason, StopReason::EventsExhausted);
-        drop(sim); // must not hang or print panic noise
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "blocked, not dropped yet");
+        drop(sim);
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn reset_runs_destructors_of_blocked_processes() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut sim = crate::SimOptions::new().jobs(2).build();
+        spawn_stuck(&mut sim, 4, &drops);
+        sim.run().unwrap();
+        sim.reset();
+        assert_eq!(drops.load(Ordering::SeqCst), 4);
+        // Never-started processes drop too.
+        spawn_stuck(&mut sim, 2, &drops);
+        sim.reset();
+        assert_eq!(drops.load(Ordering::SeqCst), 6);
+    }
+
+    /// A future that is never ready and registers no kernel wake-up.
+    struct Never;
+
+    impl std::future::Future for Never {
+        type Output = ();
+        fn poll(
+            self: std::pin::Pin<&mut Self>,
+            _cx: &mut std::task::Context<'_>,
+        ) -> std::task::Poll<()> {
+            std::task::Poll::Pending
+        }
+    }
+
+    #[test]
+    fn foreign_future_is_a_typed_error_not_a_hang() {
+        for jobs in [1, 2] {
+            let mut sim = crate::SimOptions::new().jobs(jobs).build();
+            sim.spawn("fine", |mut ctx| async move {
+                ctx.wait(Time::ns(1)).await;
+            });
+            sim.spawn("foreign", |mut ctx| async move {
+                ctx.wait(Time::ns(1)).await;
+                Never.await;
+            });
+            match sim.run() {
+                Err(SimError::ForeignAwait { process }) => assert_eq!(process, "foreign"),
+                other => panic!("jobs={jobs}: expected ForeignAwait, got {other:?}"),
+            }
+            let err = SimError::ForeignAwait {
+                process: "foreign".into(),
+            };
+            assert!(err.to_string().contains("'foreign'"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "poisoned")]
+    fn foreign_future_poisons_the_simulator() {
+        let mut sim = Simulator::new();
+        sim.spawn("foreign", |_ctx| Never);
+        assert!(sim.run().is_err());
+        let _ = sim.run();
+    }
+
+    #[test]
+    fn panic_in_a_parallel_round_is_reported_and_poisons() {
+        let mut sim = crate::SimOptions::new().jobs(2).build();
+        for i in 0..4 {
+            sim.spawn(format!("p{i}"), move |mut ctx| async move {
+                ctx.wait(Time::ns(1)).await;
+                assert!(i != 2, "deliberate test panic in p{i}");
+            });
+        }
+        match sim.run() {
+            Err(SimError::ProcessPanic { process, message }) => {
+                assert_eq!(process, "p2");
+                assert!(message.contains("deliberate"));
+            }
+            other => panic!("expected ProcessPanic, got {other:?}"),
+        }
+        let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+        assert!(again.is_err(), "a panicked simulator stays poisoned");
+    }
+
+    #[test]
+    fn resume_latency_counts_one_resume_per_activation() {
+        let mut sim = Simulator::new();
+        sim.spawn("p", |mut ctx| async move {
+            ctx.wait(Time::ns(1)).await;
+            ctx.wait(Time::ns(1)).await;
+        });
+        let s = sim.run().unwrap();
+        let m = sim.metrics();
+        assert_eq!(m.counter("kernel.handoff.resumes"), Some(s.activations));
+        assert!(m.counter("kernel.handoff.resume_nanos").is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside its own process")]
+    fn a_context_smuggled_into_another_process_panics() {
+        let mut sim = Simulator::new();
+        let (tx, rx) = std::sync::mpsc::channel::<ProcCtx>();
+        sim.spawn("owner", move |ctx| async move {
+            tx.send(ctx).unwrap();
+        });
+        sim.spawn("thief", move |_ctx| async move {
+            let mut stolen = rx.recv().unwrap();
+            stolen.wait(Time::ns(1)).await;
+        });
+        // The panic surfaces as ProcessPanic; re-raise it for should_panic.
+        if let Err(e) = sim.run() {
+            panic!("{e}");
+        }
     }
 
     #[test]
     fn tracing_records_emitted_events() {
         let mut sim = Simulator::new();
         sim.enable_tracing();
-        sim.spawn("p", |ctx| {
-            ctx.wait(Time::ns(1));
+        sim.spawn("p", |mut ctx| async move {
+            ctx.wait(Time::ns(1)).await;
             ctx.emit_trace("custom", "hello");
         });
         sim.run().unwrap();
@@ -984,9 +1095,9 @@ mod tests {
     #[test]
     fn activations_are_counted() {
         let mut sim = Simulator::new();
-        sim.spawn("p", |ctx| {
-            ctx.wait(Time::ns(1));
-            ctx.wait(Time::ns(1));
+        sim.spawn("p", |mut ctx| async move {
+            ctx.wait(Time::ns(1)).await;
+            ctx.wait(Time::ns(1)).await;
         });
         let s = sim.run().unwrap();
         // initial dispatch + 2 wakes = 3 activations
@@ -998,11 +1109,11 @@ mod tests {
         let mut sim = crate::SimOptions::new().attribution(true).build();
         let ev = sim.event("go");
         let ev2 = ev.clone();
-        sim.spawn("waiter", move |ctx| {
-            ctx.wait_event(&ev);
+        sim.spawn("waiter", move |mut ctx| async move {
+            ctx.wait_event(&ev).await;
         });
-        sim.spawn("notifier", move |ctx| {
-            ctx.wait(Time::ns(42));
+        sim.spawn("notifier", move |mut ctx| async move {
+            ctx.wait(Time::ns(42)).await;
             ev2.notify_delta();
         });
         sim.run().unwrap();
@@ -1024,15 +1135,15 @@ mod tests {
         let mut sim = crate::SimOptions::new().attribution(true).build();
         let f = sim.fifo::<u32>("ch", 2);
         let (w, r) = (f.clone(), f);
-        sim.spawn("w", move |ctx| {
+        sim.spawn("w", move |mut ctx| async move {
             for i in 0..4 {
-                w.write(ctx, i); // fills to depth 2, then blocks
+                w.write(&mut ctx, i).await; // fills to depth 2, then blocks
             }
         });
-        sim.spawn("r", move |ctx| {
-            ctx.wait(Time::ns(10));
+        sim.spawn("r", move |mut ctx| async move {
+            ctx.wait(Time::ns(10)).await;
             for _ in 0..4 {
-                let _ = r.read(ctx);
+                let _ = r.read(&mut ctx).await;
             }
         });
         sim.run().unwrap();
@@ -1058,16 +1169,16 @@ mod tests {
             let mut sim = crate::SimOptions::new().attribution(attr).build();
             let f = sim.fifo::<u32>("ch", 1);
             let (w, r) = (f.clone(), f);
-            sim.spawn("w", move |ctx| {
+            sim.spawn("w", move |mut ctx| async move {
                 for i in 0..8 {
-                    w.write(ctx, i);
-                    ctx.wait(Time::ns(3));
+                    w.write(&mut ctx, i).await;
+                    ctx.wait(Time::ns(3)).await;
                 }
             });
-            sim.spawn("r", move |ctx| {
+            sim.spawn("r", move |mut ctx| async move {
                 for _ in 0..8 {
-                    let _ = r.read(ctx);
-                    ctx.wait(Time::ns(5));
+                    let _ = r.read(&mut ctx).await;
+                    ctx.wait(Time::ns(5)).await;
                 }
             });
             let summary = sim.run().unwrap();
@@ -1091,16 +1202,16 @@ mod tests {
     fn elaborate_fifo_pair(sim: &mut Simulator) {
         let f = sim.fifo::<u32>("ch", 2);
         let (w, r) = (f.clone(), f);
-        sim.spawn("w", move |ctx| {
+        sim.spawn("w", move |mut ctx| async move {
             for i in 0..4 {
-                w.write(ctx, i);
-                ctx.wait(Time::ns(3));
+                w.write(&mut ctx, i).await;
+                ctx.wait(Time::ns(3)).await;
             }
         });
-        sim.spawn("r", move |ctx| {
+        sim.spawn("r", move |mut ctx| async move {
             for _ in 0..4 {
-                let _ = r.read(ctx);
-                ctx.wait(Time::ns(5));
+                let _ = r.read(&mut ctx).await;
+                ctx.wait(Time::ns(5)).await;
             }
         });
     }
@@ -1117,8 +1228,8 @@ mod tests {
         // model: summary and full trace must match the fresh run.
         let mut reused = Simulator::new();
         reused.enable_tracing();
-        reused.spawn("other", |ctx| {
-            ctx.wait(Time::us(1));
+        reused.spawn("other", |mut ctx| async move {
+            ctx.wait(Time::us(1)).await;
             ctx.emit_trace("leftover", "state that must not leak");
         });
         reused.run().unwrap();
@@ -1133,10 +1244,10 @@ mod tests {
     #[test]
     fn reset_clears_the_poison_flag_after_a_panic() {
         let mut sim = Simulator::new();
-        sim.spawn("bad", |_ctx| panic!("deliberate test panic"));
+        sim.spawn("bad", |_ctx| async { panic!("deliberate test panic") });
         assert!(sim.run().is_err());
         sim.reset();
-        sim.spawn("good", |ctx| ctx.wait(Time::ns(7)));
+        sim.spawn("good", |mut ctx| async move { ctx.wait(Time::ns(7)).await });
         let s = sim.run().unwrap();
         assert_eq!(s.end_time, Time::ns(7));
     }

@@ -580,6 +580,13 @@ pub(crate) struct Shared {
     /// kernel lock so channels can skip wait-span timestamping and
     /// depth tracking entirely when attribution is off.
     attribution: AtomicBool,
+    /// Mirror of `KernelState::now` in picoseconds, readable without the
+    /// kernel lock: processes read the clock far more often than the
+    /// scheduler advances it. Written only by the scheduler thread
+    /// between evaluate phases; every poll is ordered after that write
+    /// by the dispatch itself (same thread, or the worker pool's
+    /// hand-off), so the value publishes nothing and `Relaxed` suffices.
+    now_ps: AtomicU64,
     /// Parallel-evaluate round state (effect logs, gate, counters).
     pub(crate) par: crate::parallel::ParShared,
     /// Copy of `KernelState::labels`, readable without the kernel lock
@@ -595,6 +602,7 @@ impl Shared {
             state: Mutex::new(state),
             tracing: AtomicBool::new(false),
             attribution: AtomicBool::new(false),
+            now_ps: AtomicU64::new(0),
             par: crate::parallel::ParShared::new(),
             labels,
         })
@@ -610,6 +618,18 @@ impl Shared {
 
     pub(crate) fn with_state<R>(&self, f: impl FnOnce(&mut KernelState) -> R) -> R {
         f(&mut self.state.lock())
+    }
+
+    /// Current simulation time, without the kernel lock.
+    #[inline]
+    pub(crate) fn now_fast(&self) -> Time {
+        Time::ps(self.now_ps.load(Ordering::Relaxed))
+    }
+
+    /// Republishes `KernelState::now` to the lock-free mirror; call after
+    /// anything that moves the clock (time advance, reset).
+    pub(crate) fn publish_now(&self, st: &KernelState) {
+        self.now_ps.store(st.now.as_ps(), Ordering::Relaxed);
     }
 
     /// Lock-free check used by channels before capturing payloads.

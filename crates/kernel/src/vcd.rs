@@ -16,10 +16,10 @@
 //! sim.enable_tracing();
 //! let s = sim.signal("req", 0_i32);
 //! let sw = s.clone();
-//! sim.spawn("driver", move |ctx| {
+//! sim.spawn("driver", move |mut ctx| async move {
 //!     for i in 1..=3 {
-//!         ctx.wait(Time::ns(10));
-//!         sw.write(ctx, i);
+//!         ctx.wait(Time::ns(10)).await;
+//!         sw.write(&mut ctx, i);
 //!     }
 //! });
 //! sim.run()?;
@@ -316,10 +316,10 @@ mod tests {
         sim.enable_tracing();
         let s = sim.signal("clk_ish", 0_u32);
         let sw = s.clone();
-        sim.spawn("drv", move |ctx| {
+        sim.spawn("drv", move |mut ctx| async move {
             for i in 1..=4_u32 {
-                ctx.wait(Time::ns(5));
-                sw.write(ctx, i);
+                ctx.wait(Time::ns(5)).await;
+                sw.write(&mut ctx, i);
             }
         });
         sim.run().unwrap();

@@ -19,28 +19,30 @@ fn run_pipeline(
     }
     let src = fifos[0].clone();
     let values_owned = values.to_vec();
-    sim.spawn("source", move |ctx| {
+    sim.spawn("source", move |mut ctx| async move {
         for v in values_owned {
-            src.write(ctx, v);
+            src.write(&mut ctx, v).await;
         }
     });
     for (i, &d) in stage_delays.iter().enumerate() {
         let input = fifos[i].clone();
         let output = fifos[i + 1].clone();
         let count = values.len();
-        sim.spawn(format!("stage{i}"), move |ctx| {
+        sim.spawn(format!("stage{i}"), move |mut ctx| async move {
             for _ in 0..count {
-                let v = input.read(ctx);
-                ctx.wait(Time::ns(d));
-                output.write(ctx, v.wrapping_mul(3).wrapping_add(1));
+                let v = input.read(&mut ctx).await;
+                ctx.wait(Time::ns(d)).await;
+                output
+                    .write(&mut ctx, v.wrapping_mul(3).wrapping_add(1))
+                    .await;
             }
         });
     }
     let sink = fifos[n_stages].clone();
     let count = values.len();
-    sim.spawn("sink", move |ctx| {
+    sim.spawn("sink", move |mut ctx| async move {
         for _ in 0..count {
-            let v = sink.read(ctx);
+            let v = sink.read(&mut ctx).await;
             ctx.emit_trace("sink", v.to_string());
         }
     });
@@ -93,9 +95,9 @@ proptest! {
         let mut sim = Simulator::new();
         for (i, ws) in waits.iter().enumerate() {
             let ws = ws.clone();
-            sim.spawn(format!("p{i}"), move |ctx| {
+            sim.spawn(format!("p{i}"), move |mut ctx| async move {
                 for w in ws {
-                    ctx.wait(Time::ns(w));
+                    ctx.wait(Time::ns(w)).await;
                 }
             });
         }
@@ -141,15 +143,15 @@ fn rendezvous_pipeline_is_lock_step() {
     let mut sim = Simulator::new();
     let ch = sim.rendezvous::<u64>("sync");
     let (w, r) = (ch.clone(), ch);
-    sim.spawn("producer", move |ctx| {
+    sim.spawn("producer", move |mut ctx| async move {
         for i in 0..100 {
-            w.write(ctx, i);
+            w.write(&mut ctx, i).await;
         }
     });
-    sim.spawn("consumer", move |ctx| {
+    sim.spawn("consumer", move |mut ctx| async move {
         for i in 0..100 {
-            assert_eq!(r.read(ctx), i);
-            ctx.wait(Time::ns(3));
+            assert_eq!(r.read(&mut ctx).await, i);
+            ctx.wait(Time::ns(3)).await;
         }
     });
     let s = sim.run().unwrap();
@@ -164,16 +166,17 @@ fn many_processes_contend_on_one_fifo() {
     let n = 8;
     for i in 0..n {
         let tx = f.clone();
-        sim.spawn(format!("w{i}"), move |ctx| {
-            tx.write(ctx, i);
+        sim.spawn(format!("w{i}"), move |mut ctx| async move {
+            tx.write(&mut ctx, i).await;
         });
     }
     let rx = f.clone();
     let got = std::sync::Arc::new(scperf_sync::Mutex::new(Vec::new()));
     let sink = std::sync::Arc::clone(&got);
-    sim.spawn("reader", move |ctx| {
+    sim.spawn("reader", move |mut ctx| async move {
         for _ in 0..n {
-            sink.lock().push(rx.read(ctx));
+            let v = rx.read(&mut ctx).await;
+            sink.lock().push(v);
         }
     });
     sim.run().unwrap();

@@ -80,16 +80,16 @@ fn fifo_pairs(
             let f = sim.fifo::<u32>(format!("ch{p}"), 2);
             let (tx, rx) = (f.clone(), f);
             let d = delay_ns + p as u64;
-            sim.spawn(format!("prod{p}"), move |ctx| {
+            sim.spawn(format!("prod{p}"), move |mut ctx| async move {
                 for i in 0..items {
-                    tx.write(ctx, i.wrapping_mul(p as u32 + 1));
-                    ctx.wait(Time::ns(d));
+                    tx.write(&mut ctx, i.wrapping_mul(p as u32 + 1)).await;
+                    ctx.wait(Time::ns(d)).await;
                 }
             });
-            sim.spawn(format!("cons{p}"), move |ctx| {
+            sim.spawn(format!("cons{p}"), move |mut ctx| async move {
                 let mut acc = 0u64;
                 for _ in 0..items {
-                    acc += u64::from(rx.read(ctx));
+                    acc += u64::from(rx.read(&mut ctx).await);
                 }
                 ctx.emit_trace("sum", acc.to_string());
             });
@@ -108,20 +108,20 @@ fn rendezvous_workload_is_bit_identical_across_jobs() {
         for p in 0..3 {
             let ch = sim.rendezvous::<u32>(format!("r{p}"));
             let (w, r) = (ch.clone(), ch);
-            sim.spawn(format!("w{p}"), move |ctx| {
+            sim.spawn(format!("w{p}"), move |mut ctx| async move {
                 for i in 0..20 {
-                    w.write(ctx, i + p as u32);
+                    w.write(&mut ctx, i + p as u32).await;
                     if p == 1 {
-                        ctx.wait(Time::ns(7));
+                        ctx.wait(Time::ns(7)).await;
                     }
                 }
             });
-            sim.spawn(format!("r{p}"), move |ctx| {
+            sim.spawn(format!("r{p}"), move |mut ctx| async move {
                 let mut acc = 0u64;
                 for _ in 0..20 {
-                    acc += u64::from(r.read(ctx));
+                    acc += u64::from(r.read(&mut ctx).await);
                     if p == 2 {
-                        ctx.wait(Time::ns(4));
+                        ctx.wait(Time::ns(4)).await;
                     }
                 }
                 ctx.emit_trace("sum", acc.to_string());
@@ -138,15 +138,15 @@ fn signal_workload_is_bit_identical_across_jobs() {
         for p in 0..3 {
             let s = sim.signal(format!("s{p}"), 0u32);
             let (sw, sr) = (s.clone(), s.clone());
-            sim.spawn(format!("drv{p}"), move |ctx| {
+            sim.spawn(format!("drv{p}"), move |mut ctx| async move {
                 for i in 1..=10u32 {
-                    sw.write(ctx, i * (p as u32 + 1));
-                    ctx.wait(Time::ns(5 + p as u64));
+                    sw.write(&mut ctx, i * (p as u32 + 1));
+                    ctx.wait(Time::ns(5 + p as u64)).await;
                 }
             });
-            sim.spawn(format!("lst{p}"), move |ctx| {
+            sim.spawn(format!("lst{p}"), move |mut ctx| async move {
                 for _ in 0..10 {
-                    let v = sr.wait_value_change(ctx);
+                    let v = sr.wait_value_change(&mut ctx).await;
                     ctx.emit_trace("saw", v.to_string());
                 }
             });
@@ -165,22 +165,22 @@ fn mixed_primitives_are_bit_identical_across_jobs() {
             let m = m.clone();
             let sem = sem.clone();
             let f = f.clone();
-            sim.spawn(format!("user{p}"), move |ctx| {
+            sim.spawn(format!("user{p}"), move |mut ctx| async move {
                 for round in 0..5u32 {
-                    sem.acquire(ctx);
-                    m.lock(ctx);
-                    ctx.wait(Time::ns(2 + p as u64));
-                    f.write(ctx, round * 10 + p as u32);
-                    m.unlock(ctx);
-                    sem.release(ctx);
-                    ctx.wait(Time::ns(3));
+                    sem.acquire(&mut ctx).await;
+                    m.lock(&mut ctx).await;
+                    ctx.wait(Time::ns(2 + p as u64)).await;
+                    f.write(&mut ctx, round * 10 + p as u32).await;
+                    m.unlock(&mut ctx);
+                    sem.release(&mut ctx);
+                    ctx.wait(Time::ns(3)).await;
                 }
             });
         }
-        sim.spawn("drain", move |ctx| {
+        sim.spawn("drain", move |mut ctx| async move {
             let mut acc = 0u64;
             for _ in 0..20 {
-                acc += u64::from(drain.read(ctx));
+                acc += u64::from(drain.read(&mut ctx).await);
             }
             ctx.emit_trace("total", acc.to_string());
         });
@@ -193,9 +193,9 @@ fn timed_events_and_delayed_notifies_are_bit_identical() {
         let ev = sim.event("tick");
         for p in 0..4 {
             let ev = ev.clone();
-            sim.spawn(format!("timer{p}"), move |ctx| {
+            sim.spawn(format!("timer{p}"), move |mut ctx| async move {
                 for i in 0..8u64 {
-                    ctx.wait(Time::ns(1 + (p as u64 + i) % 5));
+                    ctx.wait(Time::ns(1 + (p as u64 + i) % 5)).await;
                     if p == 0 {
                         ev.notify_delayed(Time::ns(2));
                     }
@@ -204,9 +204,9 @@ fn timed_events_and_delayed_notifies_are_bit_identical() {
             });
         }
         let ev2 = ev.clone();
-        sim.spawn("listener", move |ctx| {
+        sim.spawn("listener", move |mut ctx| async move {
             for _ in 0..8 {
-                ctx.wait_event(&ev2);
+                ctx.wait_event(&ev2).await;
                 ctx.emit_trace("heard", "tick");
             }
         });
@@ -252,8 +252,8 @@ fn conflicting_signal_writers_are_reported() {
             let s = sim.signal("s", 0u32);
             let s1 = s.clone();
             let s2 = s.clone();
-            sim.spawn("a", move |ctx| s1.write(ctx, 1));
-            sim.spawn("b", move |ctx| s2.write(ctx, 2));
+            sim.spawn("a", move |mut ctx| async move { s1.write(&mut ctx, 1) });
+            sim.spawn("b", move |mut ctx| async move { s2.write(&mut ctx, 2) });
         },
         "signal 's'",
     );
@@ -267,15 +267,15 @@ fn conflicting_fifo_readers_are_reported() {
             let w = f.clone();
             let r1 = f.clone();
             let r2 = f;
-            sim.spawn("w", move |ctx| {
-                w.write(ctx, 1);
-                ctx.wait(Time::ZERO);
+            sim.spawn("w", move |mut ctx| async move {
+                w.write(&mut ctx, 1).await;
+                ctx.wait(Time::ZERO).await;
             });
-            sim.spawn("r1", move |ctx| {
-                let _ = r1.read(ctx);
+            sim.spawn("r1", move |mut ctx| async move {
+                let _ = r1.read(&mut ctx).await;
             });
-            sim.spawn("r2", move |ctx| {
-                let _ = r2.try_read(ctx);
+            sim.spawn("r2", move |mut ctx| async move {
+                let _ = r2.try_read(&mut ctx);
             });
         },
         "fifo 'q'",
@@ -288,7 +288,10 @@ fn immediate_notify_with_waiters_is_reported() {
         |sim| {
             let ev = sim.event("now");
             let ev2 = ev.clone();
-            sim.spawn("waiter", move |ctx| ctx.wait_event(&ev));
+            sim.spawn(
+                "waiter",
+                move |mut ctx| async move { ctx.wait_event(&ev).await },
+            );
             sim.spawn("notifier", move |_ctx| ev2.notify_immediate());
         },
         "'now'",
@@ -305,8 +308,8 @@ fn same_model_runs_clean_sequentially() {
     let s1 = s.clone();
     let s2 = s.clone();
     let sr = s.clone();
-    sim.spawn("a", move |ctx| s1.write(ctx, 1));
-    sim.spawn("b", move |ctx| s2.write(ctx, 2));
+    sim.spawn("a", move |mut ctx| async move { s1.write(&mut ctx, 1) });
+    sim.spawn("b", move |mut ctx| async move { s2.write(&mut ctx, 2) });
     sim.run().unwrap();
     assert_eq!(sr.read(), 2);
 }
@@ -346,9 +349,12 @@ fn parallel_metrics_report_rounds_and_effects() {
 #[test]
 fn process_panic_is_still_reported_under_parallel_evaluation() {
     let mut sim = SimOptions::new().jobs(4).build();
-    sim.spawn("calm", |ctx| ctx.wait(Time::ns(1)));
-    sim.spawn("bad", |_ctx| panic!("deliberate test panic"));
-    sim.spawn("calm2", |ctx| ctx.wait(Time::ns(1)));
+    sim.spawn("calm", |mut ctx| async move { ctx.wait(Time::ns(1)).await });
+    sim.spawn("bad", |_ctx| async { panic!("deliberate test panic") });
+    sim.spawn(
+        "calm2",
+        |mut ctx| async move { ctx.wait(Time::ns(1)).await },
+    );
     match sim.run() {
         Err(SimError::ProcessPanic { process, message }) => {
             assert_eq!(process, "bad");

@@ -21,19 +21,19 @@ fn run_deterministic_jobs(delay_ns: u64, jobs: usize) -> Vec<TraceRecord> {
         .build();
     let ch = sim.fifo::<u32>("ch", 2);
     let tx = ch.clone();
-    sim.spawn("producer", move |ctx| {
+    sim.spawn("producer", move |mut ctx| async move {
         for i in 0..20u32 {
             if delay_ns > 0 {
-                ctx.wait(Time::ns(delay_ns));
+                ctx.wait(Time::ns(delay_ns)).await;
             }
-            tx.write(ctx, i * i);
+            tx.write(&mut ctx, i * i).await;
         }
     });
     let rx = ch;
-    sim.spawn("consumer", move |ctx| {
+    sim.spawn("consumer", move |mut ctx| async move {
         let mut sum = 0u32;
         for _ in 0..20 {
-            sum = sum.wrapping_add(rx.read(ctx));
+            sum = sum.wrapping_add(rx.read(&mut ctx).await);
         }
         ctx.emit_trace("sum", sum.to_string());
     });
@@ -59,20 +59,20 @@ fn run_racy(seed: u64) -> Vec<TraceRecord> {
         // Seed-dependent per-producer delay: different seeds reorder
         // the arrivals of the two producers.
         let delay = 1 + (seed.wrapping_mul(2654435761).wrapping_add(p)) % 7;
-        sim.spawn(format!("producer{p}"), move |ctx| {
+        sim.spawn(format!("producer{p}"), move |mut ctx| async move {
             for i in 0..10u64 {
-                ctx.wait(Time::ns(delay));
-                tx.write(ctx, p * 100 + i);
+                ctx.wait(Time::ns(delay)).await;
+                tx.write(&mut ctx, p * 100 + i).await;
             }
         });
     }
     let rx = ch;
-    sim.spawn("consumer", move |ctx| {
+    sim.spawn("consumer", move |mut ctx| async move {
         let mut chk = 0u64;
         for _ in 0..20 {
             // Order-sensitive fold: a different interleaving gives a
             // different checksum, not just a permutation.
-            chk = chk.wrapping_mul(31).wrapping_add(rx.read(ctx));
+            chk = chk.wrapping_mul(31).wrapping_add(rx.read(&mut ctx).await);
         }
         ctx.emit_trace("checksum", chk.to_string());
     });

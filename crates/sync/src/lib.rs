@@ -6,8 +6,8 @@
 //! no-poison contract for read-mostly shared state, and a [`Condvar`]
 //! that waits on a `&mut MutexGuard`. Lock poisoning is ignored: a panicking
 //! holder does not prevent other threads from making progress, which is
-//! the behaviour the simulation kernel's run-baton protocol relies on
-//! when a process panics mid-simulation.
+//! the behaviour the simulation kernel relies on when a process panics
+//! mid-poll while holding a channel lock.
 //!
 //! The workspace builds in fully offline environments, so these
 //! primitives are implemented in-tree rather than pulled from a

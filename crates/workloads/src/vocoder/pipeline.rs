@@ -137,15 +137,16 @@ pub fn build_hybrid(
     // Environment source: synthesizes the input frames (not analyzed).
     {
         let tx = ch_in.clone();
-        sim.spawn("source", move |ctx| {
+        sim.spawn("source", move |mut ctx| async move {
             for frame in speech_frames(nframes) {
                 tx.write(
-                    ctx,
+                    &mut ctx,
                     FrameMsg {
                         speech: frame,
                         ..FrameMsg::default()
                     },
-                );
+                )
+                .await;
             }
         });
     }
@@ -160,28 +161,39 @@ pub fn build_hybrid(
         let chks = Arc::clone(&stage_chks);
         match rp_lsp {
             Some(trace) => {
-                model.spawn_replaying(sim, STAGE_NAMES[0], mapping.lsp, trace, move |ctx| {
-                    let mut chk = 0_i32;
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        msg.lpc = stages::lsp_plain(&msg.speech);
-                        chk = checksum_acc(chk, &msg.lpc);
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[0] = Some(chk);
-                });
+                model.spawn_replaying(
+                    sim,
+                    STAGE_NAMES[0],
+                    mapping.lsp,
+                    trace,
+                    move |mut ctx| async move {
+                        let mut chk = 0_i32;
+                        for _ in 0..nframes {
+                            let mut msg = rx.read(&mut ctx).await;
+                            msg.lpc = stages::lsp_plain(&msg.speech);
+                            chk = checksum_acc(chk, &msg.lpc);
+                            tx.write(&mut ctx, msg).await;
+                        }
+                        chks.lock()[0] = Some(chk);
+                    },
+                );
             }
             None => {
-                model.spawn(sim, STAGE_NAMES[0], mapping.lsp, move |ctx| {
-                    let mut chk = G::raw(0_i32);
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        let speech = GArr::from_slice(&msg.speech);
-                        msg.lpc = stages::lsp_annotated(&speech, &mut chk).into_vec();
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[0] = Some(chk.get());
-                });
+                model.spawn(
+                    sim,
+                    STAGE_NAMES[0],
+                    mapping.lsp,
+                    move |mut ctx| async move {
+                        let mut chk = G::raw(0_i32);
+                        for _ in 0..nframes {
+                            let mut msg = rx.read(&mut ctx).await;
+                            let speech = GArr::from_slice(&msg.speech);
+                            msg.lpc = stages::lsp_annotated(&speech, &mut chk).into_vec();
+                            tx.write(&mut ctx, msg).await;
+                        }
+                        chks.lock()[0] = Some(chk.get());
+                    },
+                );
             }
         }
     }
@@ -193,30 +205,41 @@ pub fn build_hybrid(
         let chks = Arc::clone(&stage_chks);
         match rp_lpc {
             Some(trace) => {
-                model.spawn_replaying(sim, STAGE_NAMES[1], mapping.lpc_int, trace, move |ctx| {
-                    let mut state = stages::LpcIntState::new();
-                    let mut chk = 0_i32;
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        msg.aq = stages::lpcint_plain(&mut state, &msg.lpc);
-                        chk = checksum_acc(chk, &msg.aq);
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[1] = Some(chk);
-                });
+                model.spawn_replaying(
+                    sim,
+                    STAGE_NAMES[1],
+                    mapping.lpc_int,
+                    trace,
+                    move |mut ctx| async move {
+                        let mut state = stages::LpcIntState::new();
+                        let mut chk = 0_i32;
+                        for _ in 0..nframes {
+                            let mut msg = rx.read(&mut ctx).await;
+                            msg.aq = stages::lpcint_plain(&mut state, &msg.lpc);
+                            chk = checksum_acc(chk, &msg.aq);
+                            tx.write(&mut ctx, msg).await;
+                        }
+                        chks.lock()[1] = Some(chk);
+                    },
+                );
             }
             None => {
-                model.spawn(sim, STAGE_NAMES[1], mapping.lpc_int, move |ctx| {
-                    let mut prev = GArr::<i32>::zeroed(ORDER);
-                    let mut chk = G::raw(0_i32);
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        let lpc = GArr::from_slice(&msg.lpc);
-                        msg.aq = stages::lpcint_annotated(&mut prev, &lpc, &mut chk).into_vec();
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[1] = Some(chk.get());
-                });
+                model.spawn(
+                    sim,
+                    STAGE_NAMES[1],
+                    mapping.lpc_int,
+                    move |mut ctx| async move {
+                        let mut prev = GArr::<i32>::zeroed(ORDER);
+                        let mut chk = G::raw(0_i32);
+                        for _ in 0..nframes {
+                            let mut msg = rx.read(&mut ctx).await;
+                            let lpc = GArr::from_slice(&msg.lpc);
+                            msg.aq = stages::lpcint_annotated(&mut prev, &lpc, &mut chk).into_vec();
+                            tx.write(&mut ctx, msg).await;
+                        }
+                        chks.lock()[1] = Some(chk.get());
+                    },
+                );
             }
         }
     }
@@ -228,37 +251,48 @@ pub fn build_hybrid(
         let chks = Arc::clone(&stage_chks);
         match rp_acb {
             Some(trace) => {
-                model.spawn_replaying(sim, STAGE_NAMES[2], mapping.acb, trace, move |ctx| {
-                    let mut state = stages::AcbState::new();
-                    let mut chk = 0_i32;
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        let (res, acb, lags, gains) =
-                            stages::acb_plain(&mut state, &msg.speech, &msg.aq);
-                        msg.res = res;
-                        msg.acb = acb;
-                        chk = checksum_acc(checksum_acc(chk, &lags), &gains);
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[2] = Some(chk);
-                });
+                model.spawn_replaying(
+                    sim,
+                    STAGE_NAMES[2],
+                    mapping.acb,
+                    trace,
+                    move |mut ctx| async move {
+                        let mut state = stages::AcbState::new();
+                        let mut chk = 0_i32;
+                        for _ in 0..nframes {
+                            let mut msg = rx.read(&mut ctx).await;
+                            let (res, acb, lags, gains) =
+                                stages::acb_plain(&mut state, &msg.speech, &msg.aq);
+                            msg.res = res;
+                            msg.acb = acb;
+                            chk = checksum_acc(checksum_acc(chk, &lags), &gains);
+                            tx.write(&mut ctx, msg).await;
+                        }
+                        chks.lock()[2] = Some(chk);
+                    },
+                );
             }
             None => {
-                model.spawn(sim, STAGE_NAMES[2], mapping.acb, move |ctx| {
-                    let mut hist = GArr::<i32>::zeroed(MAX_LAG);
-                    let mut chk = G::raw(0_i32);
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        let speech = GArr::from_slice(&msg.speech);
-                        let aq = GArr::from_slice(&msg.aq);
-                        let (res, acb, _lags, _gains) =
-                            stages::acb_annotated(&mut hist, &speech, &aq, &mut chk);
-                        msg.res = res.into_vec();
-                        msg.acb = acb.into_vec();
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[2] = Some(chk.get());
-                });
+                model.spawn(
+                    sim,
+                    STAGE_NAMES[2],
+                    mapping.acb,
+                    move |mut ctx| async move {
+                        let mut hist = GArr::<i32>::zeroed(MAX_LAG);
+                        let mut chk = G::raw(0_i32);
+                        for _ in 0..nframes {
+                            let mut msg = rx.read(&mut ctx).await;
+                            let speech = GArr::from_slice(&msg.speech);
+                            let aq = GArr::from_slice(&msg.aq);
+                            let (res, acb, _lags, _gains) =
+                                stages::acb_annotated(&mut hist, &speech, &aq, &mut chk);
+                            msg.res = res.into_vec();
+                            msg.acb = acb.into_vec();
+                            tx.write(&mut ctx, msg).await;
+                        }
+                        chks.lock()[2] = Some(chk.get());
+                    },
+                );
             }
         }
     }
@@ -270,29 +304,40 @@ pub fn build_hybrid(
         let chks = Arc::clone(&stage_chks);
         match rp_icb {
             Some(trace) => {
-                model.spawn_replaying(sim, STAGE_NAMES[3], mapping.icb, trace, move |ctx| {
-                    let mut chk = 0_i32;
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        msg.exc = stages::icb_plain(&msg.res, &msg.acb);
-                        chk = checksum_acc(chk, &msg.exc);
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[3] = Some(chk);
-                });
+                model.spawn_replaying(
+                    sim,
+                    STAGE_NAMES[3],
+                    mapping.icb,
+                    trace,
+                    move |mut ctx| async move {
+                        let mut chk = 0_i32;
+                        for _ in 0..nframes {
+                            let mut msg = rx.read(&mut ctx).await;
+                            msg.exc = stages::icb_plain(&msg.res, &msg.acb);
+                            chk = checksum_acc(chk, &msg.exc);
+                            tx.write(&mut ctx, msg).await;
+                        }
+                        chks.lock()[3] = Some(chk);
+                    },
+                );
             }
             None => {
-                model.spawn(sim, STAGE_NAMES[3], mapping.icb, move |ctx| {
-                    let mut chk = G::raw(0_i32);
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        let res = GArr::from_slice(&msg.res);
-                        let acb = GArr::from_slice(&msg.acb);
-                        msg.exc = stages::icb_annotated(&res, &acb, &mut chk).into_vec();
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[3] = Some(chk.get());
-                });
+                model.spawn(
+                    sim,
+                    STAGE_NAMES[3],
+                    mapping.icb,
+                    move |mut ctx| async move {
+                        let mut chk = G::raw(0_i32);
+                        for _ in 0..nframes {
+                            let mut msg = rx.read(&mut ctx).await;
+                            let res = GArr::from_slice(&msg.res);
+                            let acb = GArr::from_slice(&msg.acb);
+                            msg.exc = stages::icb_annotated(&res, &acb, &mut chk).into_vec();
+                            tx.write(&mut ctx, msg).await;
+                        }
+                        chks.lock()[3] = Some(chk.get());
+                    },
+                );
             }
         }
     }
@@ -304,39 +349,50 @@ pub fn build_hybrid(
         let chks = Arc::clone(&stage_chks);
         match rp_post {
             Some(trace) => {
-                model.spawn_replaying(sim, STAGE_NAMES[4], mapping.post, trace, move |ctx| {
-                    let mut state = stages::PostState::new();
-                    let mut chk = 0_i32;
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        msg.out = stages::post_plain(&mut state, &msg.aq, &msg.exc);
-                        chk = checksum_acc(chk, &msg.out);
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[4] = Some(chk);
-                });
+                model.spawn_replaying(
+                    sim,
+                    STAGE_NAMES[4],
+                    mapping.post,
+                    trace,
+                    move |mut ctx| async move {
+                        let mut state = stages::PostState::new();
+                        let mut chk = 0_i32;
+                        for _ in 0..nframes {
+                            let mut msg = rx.read(&mut ctx).await;
+                            msg.out = stages::post_plain(&mut state, &msg.aq, &msg.exc);
+                            chk = checksum_acc(chk, &msg.out);
+                            tx.write(&mut ctx, msg).await;
+                        }
+                        chks.lock()[4] = Some(chk);
+                    },
+                );
             }
             None => {
-                model.spawn(sim, STAGE_NAMES[4], mapping.post, move |ctx| {
-                    let mut synth_hist = GArr::<i32>::zeroed(ORDER);
-                    let mut deemph = G::raw(0_i32);
-                    let mut chk = G::raw(0_i32);
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        let aq = GArr::from_slice(&msg.aq);
-                        let exc = GArr::from_slice(&msg.exc);
-                        msg.out = stages::post_annotated(
-                            &mut synth_hist,
-                            &mut deemph,
-                            &aq,
-                            &exc,
-                            &mut chk,
-                        )
-                        .into_vec();
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[4] = Some(chk.get());
-                });
+                model.spawn(
+                    sim,
+                    STAGE_NAMES[4],
+                    mapping.post,
+                    move |mut ctx| async move {
+                        let mut synth_hist = GArr::<i32>::zeroed(ORDER);
+                        let mut deemph = G::raw(0_i32);
+                        let mut chk = G::raw(0_i32);
+                        for _ in 0..nframes {
+                            let mut msg = rx.read(&mut ctx).await;
+                            let aq = GArr::from_slice(&msg.aq);
+                            let exc = GArr::from_slice(&msg.exc);
+                            msg.out = stages::post_annotated(
+                                &mut synth_hist,
+                                &mut deemph,
+                                &aq,
+                                &exc,
+                                &mut chk,
+                            )
+                            .into_vec();
+                            tx.write(&mut ctx, msg).await;
+                        }
+                        chks.lock()[4] = Some(chk.get());
+                    },
+                );
             }
         }
     }
@@ -346,10 +402,10 @@ pub fn build_hybrid(
     {
         let result = Arc::clone(&result);
         let rx = ch_out.clone();
-        sim.spawn("sink", move |ctx| {
+        sim.spawn("sink", move |mut ctx| async move {
             let mut checksum = 0_i32;
             for _ in 0..nframes {
-                let msg = rx.read(ctx);
+                let msg = rx.read(&mut ctx).await;
                 checksum = checksum_acc(checksum, &msg.out);
             }
             *result.lock() = Some(checksum);
@@ -375,70 +431,71 @@ pub fn build_plain(sim: &mut Simulator, nframes: usize) -> OutputChecksum {
 
     {
         let tx = ch_in.clone();
-        sim.spawn("source", move |ctx| {
+        sim.spawn("source", move |mut ctx| async move {
             for frame in speech_frames(nframes) {
                 tx.write(
-                    ctx,
+                    &mut ctx,
                     FrameMsg {
                         speech: frame,
                         ..FrameMsg::default()
                     },
-                );
+                )
+                .await;
             }
         });
     }
     {
         let (rx, tx) = (ch_in.clone(), ch_lsp.clone());
-        sim.spawn(STAGE_NAMES[0], move |ctx| {
+        sim.spawn(STAGE_NAMES[0], move |mut ctx| async move {
             for _ in 0..nframes {
-                let mut msg = rx.read(ctx);
+                let mut msg = rx.read(&mut ctx).await;
                 msg.lpc = stages::lsp_plain(&msg.speech);
-                tx.write(ctx, msg);
+                tx.write(&mut ctx, msg).await;
             }
         });
     }
     {
         let (rx, tx) = (ch_lsp.clone(), ch_lpc.clone());
-        sim.spawn(STAGE_NAMES[1], move |ctx| {
+        sim.spawn(STAGE_NAMES[1], move |mut ctx| async move {
             let mut state = stages::LpcIntState::new();
             for _ in 0..nframes {
-                let mut msg = rx.read(ctx);
+                let mut msg = rx.read(&mut ctx).await;
                 msg.aq = stages::lpcint_plain(&mut state, &msg.lpc);
-                tx.write(ctx, msg);
+                tx.write(&mut ctx, msg).await;
             }
         });
     }
     {
         let (rx, tx) = (ch_lpc.clone(), ch_acb.clone());
-        sim.spawn(STAGE_NAMES[2], move |ctx| {
+        sim.spawn(STAGE_NAMES[2], move |mut ctx| async move {
             let mut state = stages::AcbState::new();
             for _ in 0..nframes {
-                let mut msg = rx.read(ctx);
+                let mut msg = rx.read(&mut ctx).await;
                 let (res, acb, _lags, _gains) = stages::acb_plain(&mut state, &msg.speech, &msg.aq);
                 msg.res = res;
                 msg.acb = acb;
-                tx.write(ctx, msg);
+                tx.write(&mut ctx, msg).await;
             }
         });
     }
     {
         let (rx, tx) = (ch_acb.clone(), ch_icb.clone());
-        sim.spawn(STAGE_NAMES[3], move |ctx| {
+        sim.spawn(STAGE_NAMES[3], move |mut ctx| async move {
             for _ in 0..nframes {
-                let mut msg = rx.read(ctx);
+                let mut msg = rx.read(&mut ctx).await;
                 msg.exc = stages::icb_plain(&msg.res, &msg.acb);
-                tx.write(ctx, msg);
+                tx.write(&mut ctx, msg).await;
             }
         });
     }
     {
         let (rx, tx) = (ch_icb.clone(), ch_out.clone());
-        sim.spawn(STAGE_NAMES[4], move |ctx| {
+        sim.spawn(STAGE_NAMES[4], move |mut ctx| async move {
             let mut state = stages::PostState::new();
             for _ in 0..nframes {
-                let mut msg = rx.read(ctx);
+                let mut msg = rx.read(&mut ctx).await;
                 msg.out = stages::post_plain(&mut state, &msg.aq, &msg.exc);
-                tx.write(ctx, msg);
+                tx.write(&mut ctx, msg).await;
             }
         });
     }
@@ -446,10 +503,10 @@ pub fn build_plain(sim: &mut Simulator, nframes: usize) -> OutputChecksum {
     {
         let result = Arc::clone(&result);
         let rx = ch_out.clone();
-        sim.spawn("sink", move |ctx| {
+        sim.spawn("sink", move |mut ctx| async move {
             let mut checksum = 0_i32;
             for _ in 0..nframes {
-                let msg = rx.read(ctx);
+                let msg = rx.read(&mut ctx).await;
                 checksum = checksum_acc(checksum, &msg.out);
             }
             *result.lock() = Some(checksum);

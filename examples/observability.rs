@@ -41,20 +41,20 @@ fn main() -> Result<(), SimError> {
     let ch = session.fifo::<i64>("dots", 4);
 
     let tx = ch.clone();
-    session.spawn("producer", cpu, move |ctx| {
+    session.spawn("producer", cpu, move |mut ctx| async move {
         for v in 0..40i64 {
             let mut acc = g_i64(0);
             for i in 0..32i64 {
                 acc.assign(acc + G::raw(v * 32 + i) * G::raw(i % 7));
             }
-            tx.write(ctx, acc.get());
+            tx.write(&mut ctx, acc.get()).await;
         }
     });
     let rx = ch;
-    session.spawn("consumer", cpu, move |ctx| {
+    session.spawn("consumer", cpu, move |mut ctx| async move {
         let mut total = g_i64(0);
         for _ in 0..40 {
-            total.assign(total + g_i64(rx.read(ctx)));
+            total.assign(total + g_i64(rx.read(&mut ctx).await));
         }
         ctx.emit_trace("total", total.get().to_string());
     });

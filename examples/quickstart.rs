@@ -29,7 +29,7 @@ fn main() -> Result<(), SimError> {
     const DIM: usize = 64;
 
     let tx = ch.clone();
-    session.spawn("producer", cpu, move |ctx| {
+    session.spawn("producer", cpu, move |mut ctx| async move {
         for v in 0..VECTORS {
             // 3. Annotated computation: every operator charges its cost.
             let mut acc = g_i64(0);
@@ -38,15 +38,15 @@ fn main() -> Result<(), SimError> {
                 let b = G::raw((i * 7) as i64 % 31);
                 acc.assign(acc + a * b);
             });
-            tx.write(ctx, acc.get()); // segment boundary (channel node)
+            tx.write(&mut ctx, acc.get()).await; // segment boundary (channel node)
         }
     });
 
     let rx = ch.clone();
-    session.spawn("consumer", cpu, move |ctx| {
+    session.spawn("consumer", cpu, move |mut ctx| async move {
         let mut total = g_i64(0);
         for _ in 0..VECTORS {
-            let v = g_i64(rx.read(ctx));
+            let v = g_i64(rx.read(&mut ctx).await);
             total.assign(total + v);
         }
         let avg = total / G::raw(VECTORS as i64);

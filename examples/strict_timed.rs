@@ -34,25 +34,25 @@ fn build(sim: &mut Simulator, model: &PerfModel, hw: ResourceId, cpu: ResourceId
     let s1 = model.signal(sim, "s1", 0_i32);
     let s2 = model.signal(sim, "s2", 0_i32);
     let s3 = model.signal(sim, "s3", 0_i32);
-    model.spawn(sim, "P1", hw, move |ctx| {
+    model.spawn(sim, "P1", hw, move |mut ctx| async move {
         for i in 1..=3 {
             burn(400); // sg4
-            s1.write(ctx, i);
-            timed_wait(ctx, Time::ZERO);
+            s1.write(&mut ctx, i).await;
+            timed_wait(&mut ctx, Time::ZERO).await;
         }
     });
-    model.spawn(sim, "P2", cpu, move |ctx| {
+    model.spawn(sim, "P2", cpu, move |mut ctx| async move {
         for i in 1..=3 {
             burn(300); // sg1
-            s2.write(ctx, i);
-            timed_wait(ctx, Time::ZERO);
+            s2.write(&mut ctx, i).await;
+            timed_wait(&mut ctx, Time::ZERO).await;
         }
     });
-    model.spawn(sim, "P3", cpu, move |ctx| {
+    model.spawn(sim, "P3", cpu, move |mut ctx| async move {
         for i in 1..=3 {
             burn(500); // sg2
-            s3.write(ctx, i);
-            timed_wait(ctx, Time::ZERO);
+            s3.write(&mut ctx, i).await;
+            timed_wait(&mut ctx, Time::ZERO).await;
         }
     });
 }

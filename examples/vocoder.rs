@@ -38,11 +38,11 @@ fn main() -> Result<(), SimError> {
     // needed — the sink is in build(); instead we capture from a light
     // observer on simulated time.
     let cp = frame_tick.clone();
-    session.spawn_untimed("rate_probe", move |ctx| {
+    session.spawn_untimed("rate_probe", move |mut ctx| async move {
         // Sample simulated time once per millisecond of simulated time.
         for _ in 0..200 {
-            ctx.wait(Time::ms(1));
-            cp.capture_value(ctx, ctx.now().as_us_f64());
+            ctx.wait(Time::ms(1)).await;
+            cp.capture_value(&ctx, ctx.now().as_us_f64());
         }
     });
 

@@ -163,13 +163,13 @@ fn mixed_platform_report_accounts_every_resource_kind() {
         }
         let _ = x;
     };
-    model.spawn(&mut sim, "sw", cpu, move |ctx| {
+    model.spawn(&mut sim, "sw", cpu, move |mut ctx| async move {
         burn();
-        timed_wait(ctx, Time::ZERO);
+        timed_wait(&mut ctx, Time::ZERO).await;
     });
-    model.spawn(&mut sim, "hwp", hw, move |ctx| {
+    model.spawn(&mut sim, "hwp", hw, move |mut ctx| async move {
         burn();
-        timed_wait(ctx, Time::ZERO);
+        timed_wait(&mut ctx, Time::ZERO).await;
     });
     model.spawn(&mut sim, "tb", env, move |_ctx| {
         burn();

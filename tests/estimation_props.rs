@@ -26,13 +26,13 @@ fn run_bursts(
     };
     let mut sim = Simulator::new();
     let model = PerfModel::new(platform, mode);
-    model.spawn(&mut sim, "p", r, move |ctx| {
+    model.spawn(&mut sim, "p", r, move |mut ctx| async move {
         for (op_idx, n) in bursts {
             let op = scperf::core::ALL_OPS[op_idx as usize % scperf::core::OP_COUNT];
             for _ in 0..n {
                 charge_op(op);
             }
-            timed_wait(ctx, Time::ZERO);
+            timed_wait(&mut ctx, Time::ZERO).await;
         }
     });
     let summary = sim.run().expect("burst program runs");
