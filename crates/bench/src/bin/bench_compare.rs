@@ -13,7 +13,7 @@
 //! seconds are meaningless across hosts, so only the *scale-invariant
 //! ratio* metrics are compared: the kernel's `thread_ratio` (stackless
 //! activations/s over an OS-thread ping-pong), the parallel-evaluate
-//! and pool `speedup`s and the estimator's
+//! `speedup`s, serve's cache `reuse_speedup` and the estimator's
 //! `live_speedup`/`memoized_speedup`, which measure one code path
 //! against another on the same machine in the same run.
 //!
@@ -36,7 +36,7 @@ const RATIO_KEYS: [&str; 6] = [
     "thread_ratio",
     "live_speedup",
     "memoized_speedup",
-    "pool_speedup",
+    "reuse_speedup",
     "prog_speedup",
 ];
 

@@ -47,6 +47,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use scperf_bench::host::write_host;
 use scperf_kernel::{SimOptions, SimSummary, Time};
 use scperf_obs::json::JsonWriter;
 
@@ -381,34 +382,6 @@ fn bench(name: &'static str, reps: usize, run: impl Fn() -> (SimSummary, Duratio
         r.activations_per_sec(),
     );
     r
-}
-
-/// Trimmed stdout of `cmd args`, or `"unknown"`.
-fn command_line(cmd: &str, args: &[&str]) -> String {
-    std::process::Command::new(cmd)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// The `host` block: what a reader needs to compare this artifact with
-/// another one.
-fn write_host(w: &mut JsonWriter, quick: bool, cores: usize) {
-    w.key("host");
-    w.begin_object();
-    w.key("available_parallelism");
-    w.value_u64(cores as u64);
-    w.key("mode");
-    w.value_str(if quick { "quick" } else { "full" });
-    w.key("git_rev");
-    w.value_str(&command_line("git", &["describe", "--always", "--dirty"]));
-    w.key("rustc");
-    w.value_str(&command_line("rustc", &["-V"]));
-    w.end_object();
 }
 
 fn main() {

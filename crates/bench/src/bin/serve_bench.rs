@@ -13,17 +13,17 @@
 //!   stdio path at each worker count: end-to-end seconds, requests/s
 //!   and the service's own p50/p90/p99 latency. Simulation is
 //!   CPU-bound, so this scales with *host cores*, not worker count —
-//!   the committed numbers come from a single-core container
-//!   (`host_cpus` is recorded; see the JSON) and are expected to stay
-//!   flat there.
+//!   the JSON's `host` block records the CPU count, mode, git revision
+//!   and compiler, and the numbers are expected to stay flat on a
+//!   single-core host.
 //! * **determinism** — the same mixed batch rendered by a 1-worker and
 //!   an 8-worker service must produce *bitwise identical* response
 //!   payloads. Asserted, not just reported.
-//! * **sustained** — repeat-shape traffic with the session pool on vs
-//!   off (trace cache off for both, so the unpooled baseline is true
-//!   per-request construction). Pooled requests fork a warmed-up
-//!   snapshot instead of rebuilding and re-estimating the pipeline;
-//!   the requests/s ratio is asserted ≥ 2× and the per-request heap
+//! * **sustained** — repeat-shape traffic with the segment-cost cache
+//!   on vs off, both on pooled session slots. With the cache on, a
+//!   repeat replays every stage's recorded trace instead of
+//!   re-estimating the pipeline; the requests/s ratio
+//!   (`reuse_speedup`) is asserted ≥ 2× and the per-request heap
 //!   allocation counts are reported alongside.
 //! * **slow_clients** — the concurrency measurement that does not
 //!   depend on core count: TCP clients that handshake (ping/pong),
@@ -40,11 +40,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use scperf_bench::host::write_host;
 use scperf_obs::json::JsonWriter;
 use scperf_serve::{Responder, Service, ServiceConfig, TcpServer};
 
 /// Counts every heap allocation so the sustained-load arm can report
-/// allocations per request with the pool on vs off — the pool's other
+/// allocations per request with the cache on vs off — reuse's other
 /// dividend besides wall clock.
 struct CountingAlloc;
 
@@ -162,25 +163,24 @@ fn determinism_check() -> usize {
 
 struct SustainedRun {
     workers: usize,
-    pooled_rps: f64,
-    unpooled_rps: f64,
-    pool_speedup: f64,
-    pooled_allocs_per_req: u64,
-    unpooled_allocs_per_req: u64,
+    cached_rps: f64,
+    uncached_rps: f64,
+    reuse_speedup: f64,
+    cached_allocs_per_req: u64,
+    uncached_allocs_per_req: u64,
 }
 
 /// One sustained-load arm: `requests` repeat-shape sim requests (after
-/// one warmup request that pays first-of-shape setup either way)
-/// through a service with the session pool on or off. The trace cache
-/// is off for both, so the unpooled side is true per-request
-/// construction — the setup cost the pool is meant to amortize.
-fn sustained_arm(workers: usize, pooled: bool, requests: usize, nframes: usize) -> (f64, u64) {
+/// one warmup request that pays first-of-shape recording either way)
+/// through a service with the segment-cost cache on or off. Sessions
+/// are pooled on both sides, so the ratio isolates the estimation work
+/// the cache lets a repeat skip.
+fn sustained_arm(workers: usize, use_cache: bool, requests: usize, nframes: usize) -> (f64, u64) {
     let svc = Service::new(ServiceConfig {
         workers,
         queue_capacity: 256,
         retry_after_ms: 50,
-        use_cache: false,
-        pool_sessions: if pooled { None } else { Some(0) },
+        use_cache,
         ..ServiceConfig::default()
     });
     let (responder, lines) = Responder::collector();
@@ -207,17 +207,18 @@ fn sustained_arm(workers: usize, pooled: bool, requests: usize, nframes: usize) 
     (requests as f64 / seconds, allocs / requests as u64)
 }
 
-/// Pool on vs pool off at one worker count, same repeat-shape traffic.
+/// Cache on vs cache off at one worker count, same repeat-shape
+/// traffic.
 fn sustained_run(workers: usize, requests: usize, nframes: usize) -> SustainedRun {
-    let (unpooled_rps, unpooled_allocs_per_req) = sustained_arm(workers, false, requests, nframes);
-    let (pooled_rps, pooled_allocs_per_req) = sustained_arm(workers, true, requests, nframes);
+    let (uncached_rps, uncached_allocs_per_req) = sustained_arm(workers, false, requests, nframes);
+    let (cached_rps, cached_allocs_per_req) = sustained_arm(workers, true, requests, nframes);
     SustainedRun {
         workers,
-        pooled_rps,
-        unpooled_rps,
-        pool_speedup: pooled_rps / unpooled_rps,
-        pooled_allocs_per_req,
-        unpooled_allocs_per_req,
+        cached_rps,
+        uncached_rps,
+        reuse_speedup: cached_rps / uncached_rps,
+        cached_allocs_per_req,
+        uncached_allocs_per_req,
     }
 }
 
@@ -312,33 +313,33 @@ fn main() {
     println!("  payloads bitwise identical ({payload_len} bytes)");
 
     println!(
-        "\nsustained: {requests} repeat-shape requests, nframes={nframes}, pool on vs off \
-         (trace cache off: the baseline is per-request construction)"
+        "\nsustained: {requests} repeat-shape requests, nframes={nframes}, trace cache on vs off \
+         (pooled sessions both ways: the baseline re-estimates every request)"
     );
     let sustained: Vec<SustainedRun> = [1, WORKER_COUNTS[2]]
         .iter()
         .map(|&w| {
             let r = sustained_run(w, requests, nframes);
             println!(
-                "  {w} worker(s): pooled {:>7.2} req/s ({} allocs/req)  unpooled {:>7.2} req/s \
+                "  {w} worker(s): cached {:>7.2} req/s ({} allocs/req)  uncached {:>7.2} req/s \
                  ({} allocs/req)  speedup {:.2}x",
-                r.pooled_rps,
-                r.pooled_allocs_per_req,
-                r.unpooled_rps,
-                r.unpooled_allocs_per_req,
-                r.pool_speedup
+                r.cached_rps,
+                r.cached_allocs_per_req,
+                r.uncached_rps,
+                r.uncached_allocs_per_req,
+                r.reuse_speedup
             );
             r
         })
         .collect();
-    // The pool's reason to exist: repeat-shape traffic must amortize
-    // session setup at least 2x over per-request construction. The
-    // 1-worker arm is the cleanest measurement (no scheduler noise).
+    // The cache's reason to exist: repeat-shape traffic must skip
+    // re-estimation for at least 2x the throughput. The 1-worker arm is
+    // the cleanest measurement (no scheduler noise).
     assert!(
-        sustained[0].pool_speedup >= 2.0,
-        "pooled repeat-shape traffic must be at least 2x per-request construction \
+        sustained[0].reuse_speedup >= 2.0,
+        "cached repeat-shape traffic must be at least 2x re-estimating every request \
          (got {:.2}x)",
-        sustained[0].pool_speedup
+        sustained[0].reuse_speedup
     );
 
     println!(
@@ -366,10 +367,7 @@ fn main() {
 
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.key("host_cpus");
-    w.value_u64(host_cpus as u64);
-    w.key("quick");
-    w.value_bool(quick);
+    write_host(&mut w, quick, host_cpus);
     w.key("compute");
     w.begin_object();
     w.key("requests");
@@ -413,8 +411,8 @@ fn main() {
     w.value_u64(nframes as u64);
     w.key("note");
     w.value_str(
-        "repeat-shape traffic, trace cache off: pooled forks a warmed snapshot, \
-         unpooled pays per-request construction",
+        "repeat-shape traffic on pooled sessions: cached replays every stage's trace, \
+         uncached re-estimates every request",
     );
     w.key("per_workers");
     w.begin_array();
@@ -422,21 +420,21 @@ fn main() {
         w.begin_object();
         w.key("workers");
         w.value_u64(r.workers as u64);
-        w.key("pooled_rps");
-        w.value_f64(r.pooled_rps);
-        w.key("unpooled_rps");
-        w.value_f64(r.unpooled_rps);
-        w.key("pool_speedup");
-        w.value_f64(r.pool_speedup);
-        w.key("pooled_allocs_per_req");
-        w.value_u64(r.pooled_allocs_per_req);
-        w.key("unpooled_allocs_per_req");
-        w.value_u64(r.unpooled_allocs_per_req);
+        w.key("cached_rps");
+        w.value_f64(r.cached_rps);
+        w.key("uncached_rps");
+        w.value_f64(r.uncached_rps);
+        w.key("reuse_speedup");
+        w.value_f64(r.reuse_speedup);
+        w.key("cached_allocs_per_req");
+        w.value_u64(r.cached_allocs_per_req);
+        w.key("uncached_allocs_per_req");
+        w.value_u64(r.uncached_allocs_per_req);
         w.end_object();
     }
     w.end_array();
     w.key("meets_2x");
-    w.value_bool(sustained[0].pool_speedup >= 2.0);
+    w.value_bool(sustained[0].reuse_speedup >= 2.0);
     w.end_object();
     // Scale-invariant ratios for bench_compare / the CI bench gate.
     w.key("benches");
@@ -445,8 +443,8 @@ fn main() {
         w.begin_object();
         w.key("name");
         w.value_str(&format!("serve_sustained_w{}", r.workers));
-        w.key("pool_speedup");
-        w.value_f64(r.pool_speedup);
+        w.key("reuse_speedup");
+        w.value_f64(r.reuse_speedup);
         w.end_object();
     }
     w.end_array();

@@ -26,6 +26,7 @@
 pub mod calibration;
 pub mod figures;
 pub mod harness;
+pub mod host;
 pub mod microbench;
 pub mod tables;
 

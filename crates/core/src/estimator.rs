@@ -301,11 +301,14 @@ impl EstimatorShared {
     /// everything a finished run accumulated: process records, node
     /// registrations beyond the implicit three, capture lists,
     /// per-resource busy/RTOS/contention accounting and the hot-path
-    /// counters. The backbone of [`crate::Session::reset`].
+    /// counters. Segment-cost recording is switched off: the caller
+    /// re-attaches a recorder if it wants one. The backbone of
+    /// [`crate::Session::reset`].
     pub(crate) fn reset(&self, platform: Platform) {
         let n = platform.len();
         let mut inner = self.inner.lock();
         inner.platform = platform;
+        inner.record_segment_costs = false;
         inner.nodes.clear();
         inner
             .nodes

@@ -99,7 +99,7 @@ pub use gval::{
 pub use hw::{weighted_hw_cycles, Dfg, DfgNode, NO_NODE};
 pub use model::{timed_wait, timed_wait_labeled, PFifo, PRendezvous, PSignal, PerfModel};
 pub use pool::{
-    InstanceLimits, LimitExceeded, PoolExhausted, PoolStats, PooledSession, SessionPool, Snapshot,
+    InstanceLimits, LimitExceeded, PoolExhausted, PoolStats, PooledSession, SessionPool,
 };
 pub use prog::{table_fingerprint, CostProgram, Instr, ProgDecodeError, ProgramSet};
 pub use recorder::{Recorder, Replay};

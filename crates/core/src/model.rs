@@ -171,32 +171,6 @@ impl PerfModel {
         Recorder::attach(&self.est)
     }
 
-    /// Deprecated shim: switches segment-cost recording on without
-    /// handing back the [`Recorder`].
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `PerfModel::recorder()` (or `SimConfig::record_costs()`) \
-                and keep the returned `Recorder`"
-    )]
-    pub fn record_segment_costs(&self) {
-        let _ = self.recorder();
-    }
-
-    /// Deprecated shim: the recorded per-segment cycle trace of
-    /// `process`, as a bare vector.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `Recorder::replay(process)`, which returns a `Replay` handle"
-    )]
-    pub fn segment_cost_trace(&self, process: &str) -> Option<Vec<f64>> {
-        let inner = self.est.inner.lock();
-        inner
-            .procs
-            .values()
-            .find(|p| p.name == process)
-            .map(|p| p.cost_trace.clone())
-    }
-
     /// Spawns a process mapped to `resource` (the architectural-mapping
     /// annotation of §2). The body runs with the estimation context
     /// installed, so `G`-typed operations are charged automatically and

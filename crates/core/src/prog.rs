@@ -17,7 +17,7 @@
 //! * **serializable** — [`ProgramSet`] round-trips through a compact
 //!   byte encoding ([`ProgramSet::to_bytes`]) validated by an FNV-1a
 //!   fingerprint of the cost-table bits ([`table_fingerprint`]),
-//!   mirroring `scperf_serve`'s `engine::shape_key`. A set recorded in
+//!   mirroring `scperf_dse::SegmentCostCache::fingerprint`. A set recorded in
 //!   one process warm-starts sites in another: on a local miss the
 //!   store consults the frozen set by the site's *stable* identity (a
 //!   hash of its `file:line:column` name) and compiles the program for

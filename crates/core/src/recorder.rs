@@ -2,13 +2,9 @@
 //! cycle traces during a run, [`Replay`] feeds a captured trace back
 //! into a later run.
 //!
-//! This replaces the historical ad-hoc trio
-//! `PerfModel::record_segment_costs` / `PerfModel::segment_cost_trace` /
-//! `PerfModel::spawn_replay` (the first two kept as deprecated shims;
-//! `spawn_replay` is gone): recording is
-//! now a capability you *hold* — a [`Recorder`] handle obtained before
-//! the run — and a captured trace is a first-class [`Replay`] value that
-//! can be cached, cloned cheaply and handed to
+//! Recording is a capability you *hold* — a [`Recorder`] handle
+//! obtained before the run — and a captured trace is a first-class
+//! [`Replay`] value that can be cached, cloned cheaply and handed to
 //! [`PerfModel::spawn_replaying`](crate::PerfModel::spawn_replaying) or
 //! [`Session::spawn_replaying`](crate::Session::spawn_replaying).
 //!
@@ -180,25 +176,6 @@ impl Recorder {
                 Arc::new(p.detail_trace.clone()),
             )
         })
-    }
-
-    /// All captured traces, as `(process name, replay)` pairs in
-    /// process-registration order.
-    pub fn replays(&self) -> Vec<(String, Replay)> {
-        let inner = self.est.inner.lock();
-        inner
-            .procs
-            .values()
-            .map(|p| {
-                (
-                    p.name.clone(),
-                    Replay::with_detail(
-                        Arc::new(p.cost_trace.clone()),
-                        Arc::new(p.detail_trace.clone()),
-                    ),
-                )
-            })
-            .collect()
     }
 }
 

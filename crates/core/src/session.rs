@@ -76,25 +76,6 @@ pub struct SimConfig {
     programs: Option<Arc<ProgramSet>>,
 }
 
-/// The plain (clonable) configuration knobs a built [`Session`] keeps,
-/// so [`Session::reset`] can restore them on a pooled slot and a
-/// [`crate::Snapshot`] can fork sessions with the same configuration.
-/// Custom trace sinks ([`SimConfig::trace_sink`]) are the one knob that
-/// cannot be retained: a reset drops the installed sink.
-#[derive(Debug, Clone)]
-pub(crate) struct SessionKnobs {
-    pub(crate) mode: Mode,
-    pub(crate) attribution: bool,
-    pub(crate) legacy_charging: bool,
-    pub(crate) site_memo: MemoMode,
-    pub(crate) record_costs: bool,
-    pub(crate) record_instantaneous: bool,
-    pub(crate) record_dfgs: bool,
-    pub(crate) tracing: TraceMode,
-    pub(crate) jobs: usize,
-    pub(crate) run_limit: Option<Time>,
-}
-
 impl Default for SimConfig {
     fn default() -> SimConfig {
         SimConfig::new()
@@ -255,25 +236,15 @@ impl SimConfig {
         if let Some(set) = self.programs {
             model.warm_programs(set);
         }
-        let recorder = self.record_costs.then(|| model.recorder());
-        let knobs = SessionKnobs {
-            mode: self.mode,
-            attribution: self.attribution,
-            legacy_charging: self.legacy_charging,
-            site_memo: self.site_memo,
-            record_costs: self.record_costs,
-            record_instantaneous: self.record_instantaneous,
-            record_dfgs: self.record_dfgs,
-            tracing: self.tracing_mode,
-            jobs: sim.jobs(),
-            run_limit: self.run_limit,
-        };
+        if self.record_costs {
+            model.recorder();
+        }
         Session {
             sim,
             model,
-            recorder,
+            record_costs: self.record_costs,
             run_limit: self.run_limit,
-            knobs,
+            tracing: self.tracing_mode,
         }
     }
 }
@@ -290,9 +261,12 @@ impl SimConfig {
 pub struct Session {
     sim: Simulator,
     model: PerfModel,
-    recorder: Option<Recorder>,
+    /// Whether [`SimConfig::record_costs`] switched recording on at
+    /// build time (a reset switches it back on).
+    record_costs: bool,
     run_limit: Option<Time>,
-    knobs: SessionKnobs,
+    /// The kernel trace mode a reset re-arms.
+    tracing: TraceMode,
 }
 
 impl Session {
@@ -369,14 +343,13 @@ impl Session {
         self.model.capture_point(name)
     }
 
-    /// The session's segment-cost [`Recorder`]. Attaches one on first
-    /// call if [`SimConfig::record_costs`] was not set (recording only
-    /// captures segments executed *after* the recorder is attached, so
-    /// call this before [`Session::run`]).
+    /// The session's segment-cost [`Recorder`], switching recording on
+    /// if [`SimConfig::record_costs`] did not (recording only captures
+    /// segments executed *after* it is on, so call this before
+    /// [`Session::run`]). Recording switched on this way lasts until
+    /// the next [`Session::reset`].
     pub fn recorder(&mut self) -> Recorder {
-        self.recorder
-            .get_or_insert_with(|| self.model.recorder())
-            .clone()
+        self.model.recorder()
     }
 
     /// Runs the simulation to event exhaustion, or to the configured
@@ -465,16 +438,16 @@ impl Session {
     }
 
     /// Returns the session to its just-built state so a pooled slot can
-    /// be reused without rebuilding: process threads are joined, kernel
+    /// be reused without rebuilding: process futures are dropped, kernel
     /// queues and the timer wheel are rebuilt, estimator records and
     /// capture lists are cleared, and simulation time is back at zero.
-    /// Configuration (mode, jobs, recording flags,
-    /// attribution, run limit, tracing mode) is retained; a custom
-    /// trace sink installed via [`SimConfig::trace_sink`] is the one
-    /// thing that cannot be restored and is dropped. Elaborate the next
-    /// scenario (spawn processes, create channels) and run again — a
-    /// reset session produces bit-identical results to a freshly built
-    /// one.
+    /// Configuration (mode, jobs, recording flags, warm programs,
+    /// attribution, run limit, tracing mode) is retained; recording
+    /// switched on after build by [`Session::recorder`] is off again,
+    /// and a custom trace sink installed via [`SimConfig::trace_sink`]
+    /// cannot be restored and is dropped. Elaborate the next scenario
+    /// (spawn processes, create channels) and run again — a reset
+    /// session produces bit-identical results to a freshly built one.
     pub fn reset(&mut self) {
         let platform = self.model.platform();
         self.reset_with_platform(platform);
@@ -486,32 +459,15 @@ impl Session {
     /// the previous one's.
     pub fn reset_with_platform(&mut self, platform: Platform) {
         self.sim.reset();
-        match self.knobs.tracing {
+        match self.tracing {
             TraceMode::Off => {}
             TraceMode::Unbounded => self.sim.enable_tracing(),
             TraceMode::Ring(n) => self.sim.enable_tracing_ring(n),
         }
         self.model.reset_estimator(platform);
-    }
-
-    /// Captures a forkable image of this session after a recorded
-    /// warmup run: the platform, the configuration knobs and every
-    /// process's recorded segment-cost trace. Repeated requests for the
-    /// same scenario shape then [`crate::Snapshot::fork`] (or
-    /// [`crate::Snapshot::fork_into`] a pooled slot) and elaborate with
-    /// the captured [`Replay`]s, skipping live estimation entirely.
-    ///
-    /// The session must have run with recording enabled
-    /// ([`SimConfig::record_costs`], or [`Session::recorder`] called
-    /// before the run) — otherwise the captured traces are empty and
-    /// replaying them panics at the first segment boundary.
-    pub fn snapshot(&mut self) -> crate::pool::Snapshot {
-        crate::pool::Snapshot::capture(self)
-    }
-
-    /// The retained configuration knobs (for snapshot/fork).
-    pub(crate) fn knobs(&self) -> &SessionKnobs {
-        &self.knobs
+        if self.record_costs {
+            self.model.recorder();
+        }
     }
 
     /// The underlying kernel simulator, for testbench-level pieces
@@ -643,6 +599,29 @@ mod tests {
         });
         let replayed = session.run().unwrap();
         assert_eq!(replayed.end_time, live.end_time);
+    }
+
+    #[test]
+    fn reset_keeps_configured_recording_only() {
+        let (platform, cpu) = one_cpu();
+        let traced = |session: &mut Session| {
+            session.spawn("w", cpu, |_ctx| {
+                let _ = g_i64(2) * g_i64(3);
+            });
+            session.run().unwrap();
+            !session.recorder().replay("w").unwrap().is_empty()
+        };
+        let mut configured = SimConfig::new()
+            .platform(platform.clone())
+            .record_costs()
+            .build();
+        configured.reset();
+        assert!(traced(&mut configured), "record_costs survives a reset");
+
+        let mut late = SimConfig::new().platform(platform).build();
+        late.recorder();
+        late.reset();
+        assert!(!traced(&mut late), "a later recorder ends at the reset");
     }
 
     #[test]

@@ -227,11 +227,15 @@ pub(crate) fn install(mut ctx: ThreadCtx) {
     } else {
         MemoMode::Off as u8
     };
-    // A warm program set recorded under a different cost table must not
-    // replay: drop it (counted in `est.prog.rejects`) so every region
-    // records afresh against the installed table.
+    // A process whose regions never memoize (environment, HW, replaying,
+    // fractional table, memo off) has no use for a warm set: drop it
+    // silently. A set recorded under a different cost table must not
+    // replay: drop it too, counted in `est.prog.rejects`, so every
+    // region records afresh against the installed table.
     if let Some(warm) = ctx.progs.warm.as_ref() {
-        if memo == MEMO_OFF || warm.table_fp() != fingerprint_costs(&ctx.costs) {
+        if memo == MEMO_OFF {
+            ctx.progs.warm = None;
+        } else if warm.table_fp() != fingerprint_costs(&ctx.costs) {
             ctx.progs.warm = None;
             ctx.progs.rejects += 1;
         }

@@ -1,15 +1,15 @@
 //! Property tests for the session pool's determinism contract: a
-//! recycled (reset) slot and a snapshot-forked slot must be
-//! bit-identical to a freshly built session — summary, report, trace
-//! and produced data — at every parallel-evaluate width, and an
-//! errored run must never poison the slot it ran in.
+//! recycled (reset) slot — estimating live or replaying traces recorded
+//! on an earlier slot — must be bit-identical to a freshly built
+//! session — summary, report, trace and produced data — at every
+//! parallel-evaluate width, and an errored run must never poison the
+//! slot it ran in.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use scperf_core::{
-    g_i64, CostTable, InstanceLimits, Platform, ResourceId, Session, SessionPool, SimConfig,
-    Snapshot,
+    g_i64, CostTable, InstanceLimits, Platform, Replay, ResourceId, Session, SessionPool, SimConfig,
 };
 use scperf_kernel::{SimError, Time, TraceMode};
 use scperf_sync::Mutex;
@@ -28,18 +28,21 @@ fn config(jobs: usize) -> SimConfig {
         .jobs(jobs)
 }
 
+/// Recorded traces of the two stages, `(gen, xform)`.
+type Traces = (Replay, Replay);
+
 /// The two-stage pipeline under test: `gen` (annotated, on the CPU)
 /// streams derived values into `xform` (annotated, on the accelerator),
-/// and an untimed sink collects the results. When `snap` carries
-/// recorded traces the stages elaborate in replay mode with *plain*
-/// bodies computing the same values — the snapshot-fork fast path.
+/// and an untimed sink collects the results. When `traces` is given the
+/// stages elaborate in replay mode with *plain* bodies computing the
+/// same values — the cache-replay fast path.
 fn elaborate(
     session: &mut Session,
     cpu: ResourceId,
     hw: ResourceId,
     nitems: usize,
     seed: i64,
-    snap: Option<&Snapshot>,
+    traces: Option<&Traces>,
 ) -> Arc<Mutex<Vec<i64>>> {
     let mid = session.fifo::<i64>("mid", 2);
     let out = session.fifo::<i64>("out", 2);
@@ -53,7 +56,7 @@ fn elaborate(
         acc
     };
     let tx = mid.clone();
-    match snap.and_then(|s| s.replay("gen")) {
+    match traces.map(|t| t.0.clone()) {
         Some(replay) => {
             session.spawn_replaying("gen", cpu, replay, move |mut ctx| async move {
                 for i in 0..nitems {
@@ -76,7 +79,7 @@ fn elaborate(
 
     let rx = mid;
     let tx = out.clone();
-    match snap.and_then(|s| s.replay("xform")) {
+    match traces.map(|t| t.1.clone()) {
         Some(replay) => {
             session.spawn_replaying("xform", hw, replay, move |mut ctx| async move {
                 for _ in 0..nitems {
@@ -120,10 +123,10 @@ fn observe(session: &mut Session, collected: &Mutex<Vec<i64>>) -> impl PartialEq
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Fresh vs reset vs snapshot-forked: identical down to the trace,
-    /// for random workload sizes and seeds at jobs ∈ {1, 2, 8}.
+    /// Fresh vs reset vs recycled-and-replayed: identical down to the
+    /// trace, for random workload sizes and seeds at jobs ∈ {1, 2, 8}.
     #[test]
-    fn fresh_reset_and_forked_sessions_are_bit_identical(
+    fn fresh_reset_and_replayed_sessions_are_bit_identical(
         nitems in 1usize..12,
         seed in -50_i64..50,
         jobs_idx in 0usize..3,
@@ -145,24 +148,23 @@ proptest! {
         let data = elaborate(&mut recycled, cpu, hw, nitems, seed, None);
         prop_assert_eq!(&observe(&mut recycled, &data), &oracle);
 
-        // Forked: first-of-shape records and publishes, the repeat
-        // forks the snapshot and replays.
+        // Replayed: a fresh slot records the stage traces, then the
+        // recycled slot replays them.
         let pool = SessionPool::new(InstanceLimits::default(), move || config(jobs).build());
-        let shape = (nitems as u64) << 32 | (seed + 50) as u64;
-        {
-            let mut slot = pool.acquire_for_shape(shape).expect("free slot");
-            prop_assert!(slot.forked_snapshot().is_none());
-            slot.recorder();
+        let traces = {
+            let mut slot = pool.acquire().expect("free slot");
+            let recorder = slot.recorder();
             let data = elaborate(&mut slot, cpu, hw, nitems, seed, None);
             prop_assert_eq!(&observe(&mut slot, &data), &oracle);
-            let snapshot = Session::snapshot(&mut slot);
-            pool.publish_snapshot(shape, snapshot);
-        }
-        let mut slot = pool.acquire_for_shape(shape).expect("free slot");
-        let snap = slot.forked_snapshot().cloned().expect("published snapshot");
-        let data = elaborate(&mut slot, cpu, hw, nitems, seed, Some(&snap));
+            (
+                recorder.replay("gen").expect("gen recorded"),
+                recorder.replay("xform").expect("xform recorded"),
+            )
+        };
+        let mut slot = pool.acquire().expect("free slot");
+        let data = elaborate(&mut slot, cpu, hw, nitems, seed, Some(&traces));
         prop_assert_eq!(&observe(&mut slot, &data), &oracle);
-        prop_assert_eq!(pool.stats().hits, 1);
+        prop_assert_eq!(pool.stats().hits, 1, "the slot was recycled");
     }
 }
 

@@ -15,6 +15,10 @@
 //!   stages are mapped, so a trace recorded once is replayed — bit-exact
 //!   — in every later point that maps the stage to a compatible
 //!   resource.
+//! * [`elaborate`] — [`elaborate_cached`], the one cache-assisted
+//!   elaboration of the vocoder pipeline that the sweep and the
+//!   `scperf-serve` engine share: replay the stages the cache holds,
+//!   record the rest, publish afterwards.
 //! * [`pool`] — a work-stealing thread pool on `std::thread` +
 //!   `scperf-sync` (the workspace builds offline; no rayon). `jobs = 1`
 //!   bypasses the pool entirely and is the sequential oracle.
@@ -46,12 +50,14 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cache;
+pub mod elaborate;
 pub mod pareto;
 pub mod point;
 pub mod pool;
 pub mod sweep;
 
 pub use cache::{CacheStats, SegmentCostCache, DEFAULT_CACHE_CAPACITY};
+pub use elaborate::{elaborate_cached, Elaborated};
 pub use pareto::{pareto, pareto_naive};
 pub use point::{
     all_mappings, build_platform, platform_cost, resolve_mapping, DesignPoint, Target, CLOCK, HW_K,

@@ -3,11 +3,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use scperf_core::{table_fingerprint, CostTable, SimConfig};
+use scperf_core::{CostTable, SimConfig};
 use scperf_obs::MetricsSnapshot;
-use scperf_workloads::vocoder::pipeline::{self, StageTrace, STAGE_NAMES};
+use scperf_workloads::vocoder::pipeline::STAGE_NAMES;
 
 use crate::cache::{CacheStats, SegmentCostCache};
+use crate::elaborate::elaborate_cached;
 use crate::pareto::pareto;
 use crate::point::{
     all_mappings, build_platform, platform_cost, resolve_mapping, DesignPoint, Target,
@@ -156,11 +157,9 @@ impl SweepResult {
 
 /// Simulates one mapping strict-timed and returns its design point.
 ///
-/// With a cache, each stage first looks up a recorded per-segment cycle
-/// trace for `(stage, resource fingerprint, nframes)`; hit stages run in
-/// replay mode (plain implementations, recorded cycles — bit-identical
-/// timing, none of the annotation overhead), miss stages run annotated
-/// with trace recording on and publish their traces afterwards.
+/// With a cache, stages replay the traces it holds and the stages that
+/// miss run annotated, record and publish their traces afterwards — see
+/// [`elaborate_cached`].
 pub fn evaluate(
     table: &CostTable,
     mapping: [Target; 5],
@@ -181,53 +180,19 @@ fn evaluate_with(
 ) -> DesignPoint {
     let (platform, ids) = build_platform(table);
     let vm = resolve_mapping(mapping, ids);
-    let stage_resources = [vm.lsp, vm.lpc_int, vm.acb, vm.icb, vm.post];
-
-    let mut replays: [StageTrace; 5] = [None, None, None, None, None];
-    let mut fingerprints = [0_u64; 5];
-    if let Some(cache) = cache {
-        for (stage, &rid) in stage_resources.iter().enumerate() {
-            let fp = SegmentCostCache::fingerprint(platform.resource(rid), nframes);
-            fingerprints[stage] = fp;
-            replays[stage] = cache.get(stage, fp);
-        }
-    }
-    let missing: Vec<usize> = (0..5).filter(|&s| replays[s].is_none()).collect();
-
-    let mut config = SimConfig::new()
-        .platform(platform)
+    let mut session = SimConfig::new()
+        .platform(platform.clone())
         .legacy_charging(legacy_charging)
-        .jobs(kernel_jobs);
-    // Warm-start the segment-site cost programs from the shared set for
-    // the SW cost table (memoization only engages on sequential
-    // resources, and cpu0/cpu1 share `table`).
-    if let Some(cache) = cache {
-        if let Some(set) = cache.programs(table_fingerprint(table)) {
-            config = config.program_set(set);
-        }
-    }
-    let mut session = config.build();
-    let recorder = (cache.is_some() && !missing.is_empty()).then(|| session.recorder());
-    let (sim, model) = session.parts_mut();
-    let handles = pipeline::build_hybrid(sim, model, vm, nframes, replays);
+        .jobs(kernel_jobs)
+        .build();
+    let elaborated = elaborate_cached(&mut session, &platform, vm, nframes, cache);
     let summary = session.run().expect("mapping simulates");
-
-    if let (Some(cache), Some(recorder)) = (cache, recorder) {
-        for &stage in &missing {
-            let trace = recorder
-                .replay(STAGE_NAMES[stage])
-                .expect("trace recorded for live stage");
-            cache.insert(stage, fingerprints[stage], trace);
-        }
-    }
-    if let Some(cache) = cache {
-        cache.publish_programs(&session.programs());
-    }
+    elaborated.publish(&session);
     if let Some(prog) = prog {
         prog.absorb(&session.model().hot_stats());
     }
 
-    let checksum = handles.output.lock().expect("sink finished");
+    let checksum = elaborated.handles.output.lock().expect("sink finished");
     DesignPoint {
         mapping,
         latency: summary.end_time,
@@ -474,6 +439,9 @@ mod tests {
         assert_eq!(warm.frontier, cold.frontier, "frontier not bit-identical");
         assert!(warm.prog.imported > 0, "blob imports");
         assert!(warm.prog.warm_hits > 0, "warm programs must be used");
+        // HW and replaying stages carry the warm set without using it:
+        // only a fingerprint mismatch is a reject.
+        assert_eq!((cold.prog.rejects, warm.prog.rejects), (0, 0));
         assert!(warm.prog.hits > 0);
         assert!(
             warm.prog.misses < cold.prog.misses,

@@ -7,8 +7,8 @@
 //!              [--tcp ADDR] [--no-stdio]
 //! ```
 //!
-//! `--pool-sessions 0` disables session pooling (each request builds a
-//! fresh session); without the flag the pool is sized to `workers + 1`.
+//! `--pool-sessions N` caps the session pool at `N` (at least 1) live
+//! sessions; without the flag the pool is sized to `workers + 1`.
 //!
 //! With `--tcp` both frontends run concurrently over one shared worker
 //! pool; EOF or a `shutdown` op on either side stops the whole service
@@ -83,6 +83,10 @@ fn parse_args() -> Args {
         eprintln!("--workers must be at least 1");
         usage()
     }
+    if args.config.pool_sessions == Some(0) {
+        eprintln!("--pool-sessions must be at least 1");
+        usage()
+    }
     if !args.stdio && args.tcp.is_none() {
         eprintln!("nothing to serve: --no-stdio without --tcp");
         usage()
@@ -94,15 +98,11 @@ fn main() -> ExitCode {
     let args = parse_args();
     let service = Arc::new(Service::new(args.config.clone()));
     eprintln!(
-        "scperf-serve: {} workers, queue capacity {}, cache {}, pool {}",
+        "scperf-serve: {} workers, queue capacity {}, cache {}, pool {} slots",
         args.config.workers,
         args.config.queue_capacity,
         if args.config.use_cache { "on" } else { "off" },
-        match args.config.pool_sessions {
-            Some(0) => "off".to_string(),
-            Some(n) => format!("{n} slots"),
-            None => format!("{} slots", args.config.workers + 1),
-        }
+        args.config.pool_slots()
     );
 
     let mut tcp_thread = None;

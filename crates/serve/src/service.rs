@@ -23,13 +23,13 @@
 //! combination records per-segment cycle traces, later runs replay them
 //! bit-identically at a fraction of the host cost.
 //!
-//! Sessions themselves come from a [`SessionPool`] (unless disabled via
-//! [`ServiceConfig::pool_sessions`]): each request acquires a reusable
-//! slot keyed by its scenario *shape*, and repeat-shape traffic forks a
-//! warmed-up snapshot instead of rebuilding and re-estimating the
-//! pipeline — see [`engine::execute_pooled`]. When every slot is live
-//! the request is rejected with `pool_exhausted` plus a `retry_after_ms`
-//! hint derived from the observed p90 run duration.
+//! Sessions themselves come from a [`SessionPool`] sized by
+//! [`ServiceConfig::pool_sessions`]: each request acquires a reusable
+//! slot, stamps its platform in and elaborates against the cache
+//! instead of rebuilding the session — see [`engine::execute_pooled`].
+//! When every slot is live the request is rejected with
+//! `pool_exhausted` plus a `retry_after_ms` hint derived from the
+//! observed p90 run duration.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -66,10 +66,17 @@ pub struct ServiceConfig {
     /// Session-pool slots. `None` (the default) sizes the pool to
     /// `workers + 1` — enough that a slot is always free while every
     /// worker is busy, so normal traffic never sees `pool_exhausted`.
-    /// `Some(0)` disables pooling (every request builds a fresh
-    /// session, the pre-pool behaviour); `Some(n)` caps the pool at
-    /// `n` live sessions and rejects beyond that.
+    /// `Some(n)` caps the pool at `n` live sessions and rejects beyond
+    /// that; `Some(0)` is invalid ([`Service::new`] panics).
     pub pool_sessions: Option<usize>,
+}
+
+impl ServiceConfig {
+    /// The session-pool size: [`ServiceConfig::pool_sessions`], or
+    /// `workers + 1` when unset.
+    pub fn pool_slots(&self) -> usize {
+        self.pool_sessions.unwrap_or(self.workers.max(1) + 1)
+    }
 }
 
 impl Default for ServiceConfig {
@@ -242,9 +249,8 @@ impl Counters {
 
 struct ServiceShared {
     cache: Option<SegmentCostCache>,
-    /// Reusable sessions with per-shape warmed snapshots; `None` when
-    /// pooling is disabled (`pool_sessions: Some(0)`).
-    pool: Option<SessionPool>,
+    /// Reusable session slots.
+    pool: SessionPool,
     draining: AtomicBool,
     counters: Counters,
     flight_recorder: usize,
@@ -306,17 +312,24 @@ impl std::fmt::Debug for Service {
 
 impl Service {
     /// Starts a service with `config.workers` worker threads.
+    ///
+    /// # Panics
+    ///
+    /// When `config.pool_sessions` is `Some(0)`: a service without
+    /// session slots could run nothing.
     pub fn new(config: ServiceConfig) -> Service {
-        let slots = config.pool_sessions.unwrap_or(config.workers.max(1) + 1);
-        let session_pool = (slots > 0).then(|| {
-            SessionPool::new(
-                InstanceLimits {
-                    max_sessions: slots,
-                    ..InstanceLimits::default()
-                },
-                engine::pool_factory(config.flight_recorder),
-            )
-        });
+        assert_ne!(
+            config.pool_sessions,
+            Some(0),
+            "invalid ServiceConfig: pool_sessions must be at least 1"
+        );
+        let session_pool = SessionPool::new(
+            InstanceLimits {
+                max_sessions: config.pool_slots(),
+                ..InstanceLimits::default()
+            },
+            engine::pool_factory(config.flight_recorder),
+        );
         Service {
             pool: WorkerPool::new("serve", config.workers),
             shared: Arc::new(ServiceShared {
@@ -679,9 +692,7 @@ impl Service {
         m.set_counter("est.prog.misses", c.est_site_misses);
         m.set_counter("est.prog.warm_hits", c.est_prog_warm_hits);
         m.set_counter("est.prog.rejects", c.est_prog_rejects);
-        if let Some(pool) = &self.shared.pool {
-            m.merge(pool.metrics());
-        }
+        m.merge(self.shared.pool.metrics());
         if let Some(cache) = &self.shared.cache {
             let stats = cache.stats();
             m.set_counter("serve.cache.hits", stats.hits);
@@ -748,7 +759,7 @@ impl Service {
 }
 
 /// Executes one scenario and maintains the shared counters, latency
-/// histograms and folded telemetry. Shared by the pooled (stdio) and
+/// histograms and folded telemetry. Shared by the queued (stdio) and
 /// inline (TCP) paths.
 fn run_scenario(
     shared: &ServiceShared,
@@ -763,21 +774,13 @@ fn run_scenario(
         .deadline_ms
         .map(|ms| admitted + Duration::from_millis(ms));
     let run_started = Instant::now();
-    let result = match &shared.pool {
-        Some(pool) => engine::execute_pooled(
-            scenario,
-            pool,
-            shared.cache.as_ref(),
-            deadline,
-            shared.flight_recorder,
-        ),
-        None => engine::execute(
-            scenario,
-            shared.cache.as_ref(),
-            deadline,
-            shared.flight_recorder,
-        ),
-    };
+    let result = engine::execute_pooled(
+        scenario,
+        &shared.pool,
+        shared.cache.as_ref(),
+        deadline,
+        shared.flight_recorder,
+    );
     let c = &shared.counters;
     match &result {
         Ok(out) => {
@@ -809,7 +812,7 @@ fn run_scenario(
         Err(err) => {
             c.failed.fetch_add(1, Ordering::Relaxed);
             // The engine converts a caught panic into a Sim error with
-            // this message prefix (see `engine::execute`).
+            // this message prefix (see `engine::execute_pooled`).
             if err.message.starts_with("worker panicked") {
                 c.panics.fetch_add(1, Ordering::Relaxed);
                 if shared.flight_recorder > 0 {

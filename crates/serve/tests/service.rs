@@ -203,41 +203,38 @@ fn repeated_scenarios_hit_the_pool_without_changing_results() {
         .collect();
     assert!(times.windows(2).all(|w| w[0] == w[1]), "times: {times:?}");
     let m = svc.metrics();
-    // The first-of-shape run publishes its snapshot before the worker
-    // picks up another job, so with 2 workers and 4 identical requests
-    // at least the last two fork the warmed snapshot instead of
-    // touching the trace cache.
+    // A run publishes its stage traces and releases its slot before
+    // the worker picks up another job, so with 2 workers and 4
+    // identical requests at least the last two recycle a slot and
+    // replay all five stages from the trace cache.
     assert!(m.counter("pool.hits").unwrap() >= 2, "{m}");
-    assert!(m.counter("pool.forks").unwrap() >= 2, "{m}");
+    assert!(m.counter("serve.cache.hits").unwrap() >= 10, "{m}");
     assert_eq!(m.counter("pool.exhausted"), Some(0), "{m}");
     assert!(m.counter("serve.latency.count").is_some());
+    // The HW stage and the replaying stages carry the warm program set
+    // without using it: that is no reject.
+    assert_eq!(m.counter("est.prog.rejects"), Some(0), "{m}");
 }
 
 #[test]
-fn disabling_the_pool_restores_per_request_sessions() {
-    let mut config = ServiceConfig {
-        workers: 2,
-        queue_capacity: 8,
-        retry_after_ms: 25,
+fn a_zero_size_pool_is_rejected_naming_the_field() {
+    let config = ServiceConfig {
+        pool_sessions: Some(0),
         ..ServiceConfig::default()
     };
-    config.pool_sessions = Some(0);
-    let svc = Service::new(config);
-    let (responder, lines) = Responder::collector();
-    for i in 0..3 {
-        svc.handle_line(&sim_line(&format!("r{i}"), MIXED, 2, ""), &responder);
-    }
-    svc.drain();
-    let got = lines.lock().clone();
-    let times: Vec<u64> = got
-        .iter()
-        .map(|l| field(&parse(l).unwrap(), "end_time_ps").as_u64().unwrap())
-        .collect();
-    assert!(times.windows(2).all(|w| w[0] == w[1]), "times: {times:?}");
-    let m = svc.metrics();
-    assert!(m.counter("pool.hits").is_none(), "no pool metrics: {m}");
-    // Per-request sessions still memoize segment traces.
-    assert!(m.counter("serve.cache.hits").unwrap() > 0, "{m}");
+    let panic = std::panic::catch_unwind(|| Service::new(config)).unwrap_err();
+    let msg = panic.downcast_ref::<String>().expect("formatted panic");
+    assert!(msg.contains("pool_sessions"), "{msg}");
+
+    // The CLI refuses the flag with a usage error before serving.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_scperf-serve"))
+        .args(["--pool-sessions", "0"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("run scperf-serve");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--pool-sessions"), "{stderr}");
 }
 
 #[test]

@@ -32,9 +32,9 @@
 // --- The session front door: configuration, lifecycle, record/replay.
 pub use scperf_core::{Recorder, Replay, Session, SimConfig};
 
-// --- Session pooling and snapshot/fork (serving hot path).
+// --- Session pooling (serving hot path).
 pub use scperf_core::{
-    InstanceLimits, LimitExceeded, PoolExhausted, PoolStats, PooledSession, SessionPool, Snapshot,
+    InstanceLimits, LimitExceeded, PoolExhausted, PoolStats, PooledSession, SessionPool,
 };
 
 // --- Annotated value types and control-flow macros (§3 of the paper).

@@ -3,18 +3,22 @@
 //! one cheap scenario (the 2-frame vocoder on a mixed CPU/CPU/HW
 //! platform). Every way the workspace can execute that scenario — live
 //! estimation, hybrid replay of recorded segment costs, warm-started
-//! cost programs, the parallel evaluate phase and a snapshot fork — must
-//! produce the same report and the same stage checksums, bit for bit;
+//! cost programs, the parallel evaluate phase and a recycled pool slot
+//! replaying the shared cost cache — must produce the same report and
+//! the same stage checksums, bit for bit;
 //! and one `sim` request must make the round trip through
 //! `Service::handle_line`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use scperf::dse::{elaborate_cached, SegmentCostCache};
 use scperf::prelude::*;
 use scperf::serve::json::parse;
 use scperf::serve::{Responder, Service, ServiceConfig};
-use scperf::workloads::vocoder::pipeline::{self, StageTrace, VocoderMapping, STAGE_NAMES};
+use scperf::workloads::vocoder::pipeline::{
+    self, StageTrace, VocoderHandles, VocoderMapping, STAGE_NAMES,
+};
 
 const NFRAMES: usize = 2;
 
@@ -49,6 +53,11 @@ fn run(session: &mut Session, mapping: VocoderMapping, replays: [StageTrace; 5])
         let (sim, model) = session.parts_mut();
         pipeline::build_hybrid(sim, model, mapping, NFRAMES, replays)
     };
+    finish(session, &handles)
+}
+
+/// Runs an elaborated vocoder and collects the outcome.
+fn finish(session: &mut Session, handles: &VocoderHandles) -> Outcome {
     let summary = session.run().expect("vocoder simulates");
     let stages = *handles.stages.lock();
     let output = *handles.output.lock();
@@ -65,7 +74,7 @@ fn replays_of(lookup: impl Fn(&str) -> Option<Replay>) -> [StageTrace; 5] {
 }
 
 #[test]
-fn vocoder_is_bit_identical_across_live_replay_programs_parallel_and_fork() {
+fn vocoder_is_bit_identical_across_live_replay_programs_parallel_and_pool() {
     let reference = scperf::workloads::vocoder::run_reference(NFRAMES);
     let (plat, mapping) = platform();
 
@@ -124,14 +133,22 @@ fn vocoder_is_bit_identical_across_live_replay_programs_parallel_and_fork() {
     );
     assert_eq!(parallel, expected, "jobs = 2 diverged from jobs = 1");
 
-    // A snapshot of the live session, forked and replayed.
-    let snapshot = live.snapshot();
-    let forked = run(
-        &mut snapshot.fork(),
-        mapping,
-        replays_of(|n| snapshot.replay(n)),
-    );
-    assert_eq!(forked, expected, "snapshot fork diverged from live");
+    // Pool slots elaborating against the shared cost cache: the fresh
+    // slot records every stage, the recycled slot replays them all.
+    let cache = SegmentCostCache::new();
+    let pool = SessionPool::new(InstanceLimits::default(), {
+        let plat = plat.clone();
+        move || SimConfig::new().platform(plat.clone()).build()
+    });
+    for replayed_stages in [0, 5] {
+        let mut slot = pool.acquire().expect("free slot");
+        let elaborated = elaborate_cached(&mut slot, &plat, mapping, NFRAMES, Some(&cache));
+        assert_eq!(elaborated.replayed_stages, replayed_stages);
+        let got = finish(&mut slot, &elaborated.handles);
+        elaborated.publish(&slot);
+        assert_eq!(got, expected, "pooled run diverged from live");
+    }
+    assert_eq!(pool.stats().hits, 1, "the second run recycled the slot");
 }
 
 #[test]
