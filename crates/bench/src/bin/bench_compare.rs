@@ -14,8 +14,9 @@
 //! ratio* metrics are compared: the kernel's `thread_ratio` (stackless
 //! activations/s over an OS-thread ping-pong), the parallel-evaluate
 //! `speedup`s, serve's cache `reuse_speedup` and the estimator's
-//! `live_speedup`/`memoized_speedup`, which measure one code path
-//! against another on the same machine in the same run.
+//! `memo_speedup` (live over memoized) and `prog_speedup` (live over
+//! warm-started programs), which measure one code path against another
+//! on the same machine in the same run.
 //!
 //! For every shared ratio metric the gate computes
 //! `current / baseline`; a value of 1.0 means the fresh run reproduces
@@ -31,11 +32,10 @@ use std::process::ExitCode;
 use scperf_serve::json::{parse, Json};
 
 /// Ratio-metric keys: higher is better, scale-invariant across hosts.
-const RATIO_KEYS: [&str; 6] = [
+const RATIO_KEYS: [&str; 5] = [
     "speedup",
     "thread_ratio",
-    "live_speedup",
-    "memoized_speedup",
+    "memo_speedup",
     "reuse_speedup",
     "prog_speedup",
 ];

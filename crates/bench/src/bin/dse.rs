@@ -100,8 +100,8 @@ fn main() {
         kernel_jobs: 1,
         use_cache: args.cache,
         limit: None,
-        legacy_charging: false,
         programs_in,
+        ..SweepConfig::default()
     };
     let start = Instant::now();
     let result = sweep(&config);

@@ -1,6 +1,6 @@
-//! Estimator hot-path microbenchmarks: flat-TLS charging, segment-site
-//! memoization and the allocation-free DFG, measured against the legacy
-//! `RefCell` charging path.
+//! Estimator hot-path microbenchmarks: flat-TLS charging and
+//! segment-site memoization, live against memoized against warm-started
+//! programs, with absolute ns per charged operation.
 //!
 //! Usage:
 //!
@@ -11,23 +11,25 @@
 //! Four benches:
 //!
 //! * **charge** — one process charging a tight stream of `Op::Add`s;
-//!   the purest fast-path-vs-legacy comparison.
+//!   the purest measure of the per-op charge cost.
 //! * **plain_thread** — annotated `G` arithmetic on a thread with *no*
 //!   installed estimation context: the absent-context path must be
 //!   almost free (a single thread-local flag test per op).
-//! * **fir** — the 64-tap/256-sample FIR workload, run legacy, live
-//!   (fast path, no memoization) and memoized (segment sites replay).
-//! * **vocoder** — the five-stage vocoder pipeline on one CPU, same
-//!   three configurations.
+//! * **fir** — the 64-tap/256-sample FIR workload, run live (no
+//!   memoization) and memoized (segment sites replay).
+//! * **vocoder** — the five-stage vocoder pipeline on one CPU, same two
+//!   configurations plus a run warm-started from a shipped program set.
 //!
 //! Every configuration must produce bit-identical simulated time and
 //! checksums — the bench asserts this — so the reported speedups are
-//! pure host-time ratios at identical estimates. Results go to
-//! `BENCH_estimator.json`.
+//! pure host-time ratios at identical estimates. The configurations
+//! compared by a ratio run in alternation, so both see the same host
+//! load. Results go to `BENCH_estimator.json`.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use scperf_bench::host::write_host;
 use scperf_core::{charge_op, CostTable, MemoMode, Op, Platform, ProgramSet, SimConfig, G};
 use scperf_kernel::Time;
 use scperf_obs::json::JsonWriter;
@@ -61,25 +63,20 @@ fn parse_args() -> Args {
     args
 }
 
-/// How one session is configured: the legacy `RefCell` path, the flat
-/// fast path with memoization off, or the fast path with segment-site
+/// How one session is configured: memoization off, or segment-site
 /// replay (the default).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Config {
-    Legacy,
     Live,
     Memoized,
 }
 
 impl Config {
-    const ALL: [Config; 3] = [Config::Legacy, Config::Live, Config::Memoized];
-
     fn apply(self, cfg: SimConfig) -> SimConfig {
-        match self {
-            Config::Legacy => cfg.legacy_charging(true).site_memo(MemoMode::Off),
-            Config::Live => cfg.site_memo(MemoMode::Off),
-            Config::Memoized => cfg.site_memo(MemoMode::Replay),
-        }
+        cfg.site_memo(match self {
+            Config::Live => MemoMode::Off,
+            Config::Memoized => MemoMode::Replay,
+        })
     }
 }
 
@@ -91,6 +88,13 @@ struct Run {
     elapsed: Duration,
     site_hits: u64,
     fast_charges: u64,
+}
+
+/// Keeps the faster of `best` and `r` (noise only adds time).
+fn keep_faster(best: &mut Option<Run>, r: Run) {
+    if best.as_ref().is_none_or(|b| r.elapsed < b.elapsed) {
+        *best = Some(r);
+    }
 }
 
 fn sw_platform() -> (Platform, scperf_core::ResourceId) {
@@ -216,44 +220,32 @@ fn vocoder_warm_run(set: Arc<ProgramSet>, nframes: usize) -> (Run, u64) {
     )
 }
 
-/// Best-of-`reps` wall time per configuration (noise only adds time),
-/// with bit-identity asserted across configurations.
+/// Best-of-`reps` wall time per configuration, live and memoized runs
+/// alternating, with bit-identity asserted between them.
 fn bench(name: &'static str, reps: usize, run: impl Fn(Config) -> Run) -> BenchResult {
-    let mut best: [Option<Run>; 3] = [None, None, None];
-    for (i, config) in Config::ALL.into_iter().enumerate() {
-        for _ in 0..reps {
-            let r = run(config);
-            match &best[i] {
-                Some(b) if b.elapsed <= r.elapsed => {}
-                _ => best[i] = Some(r),
-            }
-        }
+    let (mut live, mut memo) = (None, None);
+    for _ in 0..reps {
+        keep_faster(&mut live, run(Config::Live));
+        keep_faster(&mut memo, run(Config::Memoized));
     }
-    let [legacy, live, memo] = best.map(|r| r.expect("reps > 0"));
+    let (live, memo) = (live.expect("reps > 0"), memo.expect("reps > 0"));
     assert_eq!(
-        legacy.end_time_ps, live.end_time_ps,
-        "{name}: fast path changed the estimate"
-    );
-    assert_eq!(
-        legacy.end_time_ps, memo.end_time_ps,
+        live.end_time_ps, memo.end_time_ps,
         "{name}: memoization changed the estimate"
     );
-    assert_eq!(legacy.checksum, live.checksum, "{name}: data changed");
-    assert_eq!(legacy.checksum, memo.checksum, "{name}: data changed");
-    assert_eq!(legacy.fast_charges, 0, "{name}: legacy run used fast path");
-    let r = BenchResult {
-        name,
-        legacy,
-        live,
-        memo,
-    };
+    assert_eq!(live.checksum, memo.checksum, "{name}: data changed");
+    assert_eq!(
+        live.fast_charges, memo.fast_charges,
+        "{name}: memoization changed the charged op count"
+    );
+    let r = BenchResult { name, live, memo };
     println!(
-        "{:>12}: legacy {:>9.2?}  live {:>9.2?} ({:>5.2}x)  memoized {:>9.2?} ({:>5.2}x, {} site hits)",
+        "{:>12}: live {:>9.2?} ({:>6.2} ns/op)  memoized {:>9.2?} ({:>6.2} ns/op, {:>5.2}x, {} site hits)",
         r.name,
-        r.legacy.elapsed,
         r.live.elapsed,
-        r.live_speedup(),
+        r.ns_per_op(&r.live),
         r.memo.elapsed,
+        r.ns_per_op(&r.memo),
         r.memo_speedup(),
         r.memo.site_hits,
     );
@@ -262,17 +254,20 @@ fn bench(name: &'static str, reps: usize, run: impl Fn(Config) -> Run) -> BenchR
 
 struct BenchResult {
     name: &'static str,
-    legacy: Run,
     live: Run,
     memo: Run,
 }
 
 impl BenchResult {
-    fn live_speedup(&self) -> f64 {
-        self.legacy.elapsed.as_secs_f64() / self.live.elapsed.as_secs_f64()
-    }
+    /// Live over memoized wall time.
     fn memo_speedup(&self) -> f64 {
-        self.legacy.elapsed.as_secs_f64() / self.memo.elapsed.as_secs_f64()
+        self.live.elapsed.as_secs_f64() / self.memo.elapsed.as_secs_f64()
+    }
+
+    /// Host nanoseconds per charged operation of `run` (every
+    /// configuration charges the same operations).
+    fn ns_per_op(&self, run: &Run) -> f64 {
+        run.elapsed.as_secs_f64() * 1e9 / self.live.fast_charges.max(1) as f64
     }
 }
 
@@ -283,6 +278,7 @@ fn main() {
     let plain_ops = 20_000_000 / scale as u64;
     let fir_iters = 20 / scale.min(10);
     let voc_frames = 20 / scale.min(10);
+    let attr_pairs = 4 * args.reps + 1;
 
     println!(
         "estimator hot-path microbench (best of {} reps{})",
@@ -308,28 +304,40 @@ fn main() {
     ];
 
     // Attribution overhead: busy/contention accounting on the memoized
-    // charge stream. The estimate must stay bit-identical and the
-    // host-time overhead ≤ 5%.
-    let mut attr_best: Option<Run> = None;
-    for _ in 0..args.reps {
-        let r = charge_stream(Config::Memoized, charge_ops, true);
-        match &attr_best {
-            Some(b) if b.elapsed <= r.elapsed => {}
-            _ => attr_best = Some(r),
-        }
+    // charge stream. Off and on run back to back in pairs (alternating
+    // which goes first), so both halves of a pair see the same host
+    // load; the overhead is the median of the per-pair ratios. The
+    // estimate must stay bit-identical and the overhead ≤ 5%.
+    let mut ratios = Vec::with_capacity(attr_pairs);
+    let (mut attr_off, mut attr_on) = (None, None);
+    for pair in 0..attr_pairs {
+        let measure = |on| charge_stream(Config::Memoized, charge_ops, on);
+        let (off, on) = if pair % 2 == 0 {
+            let off = measure(false);
+            (off, measure(true))
+        } else {
+            let on = measure(true);
+            (measure(false), on)
+        };
+        assert_eq!(
+            off.end_time_ps, on.end_time_ps,
+            "charge: attribution changed the estimate"
+        );
+        ratios.push(on.elapsed.as_secs_f64() / off.elapsed.as_secs_f64());
+        keep_faster(&mut attr_off, off);
+        keep_faster(&mut attr_on, on);
     }
-    let attr = attr_best.expect("reps > 0");
-    let base = &results[0].memo;
-    assert_eq!(
-        base.end_time_ps, attr.end_time_ps,
-        "charge: attribution changed the estimate"
-    );
-    let attr_overhead = attr.elapsed.as_secs_f64() / base.elapsed.as_secs_f64() - 1.0;
+    let (base, attr) = (attr_off.expect("pairs > 0"), attr_on.expect("pairs > 0"));
+    ratios.sort_by(f64::total_cmp);
+    let attr_overhead = ratios[ratios.len() / 2] - 1.0;
     println!(
-        " attribution: off {:>9.2?}  on {:>9.2?}  overhead {:+.2}%",
+        " attribution: off {:>9.2?}  on {:>9.2?}  overhead {:+.2}% (median of {} pairs, {:+.2}% .. {:+.2}%)",
         base.elapsed,
         attr.elapsed,
-        attr_overhead * 100.0
+        attr_overhead * 100.0,
+        attr_pairs,
+        (ratios[0] - 1.0) * 100.0,
+        (ratios[ratios.len() - 1] - 1.0) * 100.0,
     );
 
     // Cross-process program sharing: harvest the memoized vocoder's
@@ -354,39 +362,43 @@ fn main() {
         *decoded, harvested,
         "wire round-trip changed the program set"
     );
-    let mut warm_best: Option<(Run, u64)> = None;
+    let mut warm_best: Option<Run> = None;
+    let mut warm_hits = 0;
     for _ in 0..args.reps {
-        let r = vocoder_warm_run(Arc::clone(&decoded), voc_frames);
-        match &warm_best {
-            Some((b, _)) if b.elapsed <= r.0.elapsed => {}
-            _ => warm_best = Some(r),
-        }
+        let (r, hits) = vocoder_warm_run(Arc::clone(&decoded), voc_frames);
+        warm_hits = hits;
+        keep_faster(&mut warm_best, r);
     }
-    let (warm, warm_hits) = warm_best.expect("reps > 0");
+    let warm = warm_best.expect("reps > 0");
     let vocoder = &results[2];
     assert_eq!(
-        vocoder.legacy.end_time_ps, warm.end_time_ps,
+        vocoder.live.end_time_ps, warm.end_time_ps,
         "vocoder: warm-started programs changed the estimate"
     );
     assert_eq!(
-        vocoder.legacy.checksum, warm.checksum,
+        vocoder.live.checksum, warm.checksum,
         "vocoder: warm-started programs changed the data"
     );
     assert!(
         warm_hits > 0,
         "warm run fetched nothing from the shared set"
     );
-    let prog_speedup = vocoder.legacy.elapsed.as_secs_f64() / warm.elapsed.as_secs_f64();
+    let prog_speedup = vocoder.live.elapsed.as_secs_f64() / warm.elapsed.as_secs_f64();
     println!(
-        "    programs: {} bytes on the wire, warm {:>9.2?} ({:>5.2}x, {} warm fetches)",
+        "    programs: {} bytes on the wire, warm {:>9.2?} ({:>6.2} ns/op, {:>5.2}x over live, {} warm fetches)",
         wire.len(),
         warm.elapsed,
+        vocoder.ns_per_op(&warm),
         prog_speedup,
         warm_hits,
     );
 
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let mut w = JsonWriter::new();
     w.begin_object();
+    write_host(&mut w, args.quick, cores);
     w.key("reps");
     w.value_u64(args.reps as u64);
     w.key("quick");
@@ -395,6 +407,8 @@ fn main() {
     w.begin_object();
     w.key("bench");
     w.value_str("charge/memoized");
+    w.key("pairs");
+    w.value_u64(attr_pairs as u64);
     w.key("off_seconds");
     w.value_f64(base.elapsed.as_secs_f64());
     w.key("on_seconds");
@@ -420,24 +434,26 @@ fn main() {
         w.key("name");
         w.value_str(r.name);
         w.key("end_time_ps");
-        w.value_u64(r.legacy.end_time_ps);
-        w.key("legacy_seconds");
-        w.value_f64(r.legacy.elapsed.as_secs_f64());
-        w.key("live_seconds");
-        w.value_f64(r.live.elapsed.as_secs_f64());
-        w.key("memoized_seconds");
-        w.value_f64(r.memo.elapsed.as_secs_f64());
-        w.key("live_speedup");
-        w.value_f64(r.live_speedup());
-        w.key("memoized_speedup");
-        w.value_f64(r.memo_speedup());
+        w.value_u64(r.live.end_time_ps);
         w.key("fast_charges");
         w.value_u64(r.live.fast_charges);
+        w.key("live_seconds");
+        w.value_f64(r.live.elapsed.as_secs_f64());
+        w.key("live_ns_per_op");
+        w.value_f64(r.ns_per_op(&r.live));
+        w.key("memoized_seconds");
+        w.value_f64(r.memo.elapsed.as_secs_f64());
+        w.key("memoized_ns_per_op");
+        w.value_f64(r.ns_per_op(&r.memo));
+        w.key("memo_speedup");
+        w.value_f64(r.memo_speedup());
         w.key("site_hits");
         w.value_u64(r.memo.site_hits);
         if r.name == "vocoder" {
             w.key("warm_seconds");
             w.value_f64(warm.elapsed.as_secs_f64());
+            w.key("warm_ns_per_op");
+            w.value_f64(r.ns_per_op(&warm));
             w.key("prog_speedup");
             w.value_f64(prog_speedup);
             w.key("prog_warm_hits");
@@ -469,7 +485,7 @@ fn main() {
         for r in &results[1..] {
             assert!(
                 r.memo_speedup() >= 1.5,
-                "{}: memoized estimation must be >=1.5x over legacy (got {:.2}x)",
+                "{}: memoized estimation must be >=1.5x over live (got {:.2}x)",
                 r.name,
                 r.memo_speedup()
             );

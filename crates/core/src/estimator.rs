@@ -133,9 +133,6 @@ pub(crate) struct EstInner {
     /// Record every segment execution's cycles into
     /// [`ProcRecord::cost_trace`] (cheap: one `Vec::push` per segment).
     pub(crate) record_segment_costs: bool,
-    /// Route charging through the legacy `RefCell`-per-op path (the
-    /// measurable pre-fast-path baseline; see `estimator_bench`).
-    pub(crate) legacy_charging: bool,
     /// Segment-site memoization policy handed to spawned processes.
     pub(crate) memo_mode: MemoMode,
     /// Warm program set handed to spawned processes: compiled cost
@@ -210,7 +207,6 @@ impl EstimatorShared {
                 record_instantaneous: false,
                 record_dfgs: false,
                 record_segment_costs: false,
-                legacy_charging: false,
                 memo_mode: MemoMode::default(),
                 warm_programs: None,
                 programs: None,
@@ -297,7 +293,7 @@ impl EstimatorShared {
 
     /// Returns the estimator to its just-constructed state over
     /// `platform`, keeping the configuration knobs (mode, recording
-    /// flags, legacy charging, memo policy, attribution) and discarding
+    /// flags, memo policy, attribution) and discarding
     /// everything a finished run accumulated: process records, node
     /// registrations beyond the implicit three, capture lists,
     /// per-resource busy/RTOS/contention accounting and the hot-path
@@ -394,7 +390,6 @@ fn close_segment(ctx: &ProcCtx, node: u32) -> Option<ClosedSegment> {
         max_ready,
         counts,
         dfg,
-        fast_ops,
         site_hits,
         site_misses,
         arena_reuse,
@@ -403,6 +398,7 @@ fn close_segment(ctx: &ProcCtx, node: u32) -> Option<ClosedSegment> {
     if kind == ResourceKind::Environment {
         return None;
     }
+    let charged = counts.total();
 
     // Phase 2: compute the segment's annotated cycle count. A replayed
     // segment reuses the recorded value, which is bit-identical to what
@@ -429,7 +425,7 @@ fn close_segment(ctx: &ProcCtx, node: u32) -> Option<ClosedSegment> {
     let now = ctx.now();
     let (seg_time, rtos_time, mode, spare_dfg) = {
         let mut inner = est.inner.lock();
-        let res = inner.platform.resource(resource).clone();
+        let res = inner.platform.resource(resource);
         let seg_time = res.cycles_to_time(cycles);
         let rtos_time = if kind == ResourceKind::Sequential {
             res.cycles_to_time(rtos_cycles)
@@ -492,7 +488,7 @@ fn close_segment(ctx: &ProcCtx, node: u32) -> Option<ClosedSegment> {
         inner.rtos_total[resource.index()] += rtos_time;
         // Hot-path counters, folded in under the lock already held for
         // the segment statistics (zero cost on the charge path itself).
-        inner.fast_charges += fast_ops;
+        inner.fast_charges += charged;
         inner.site_hits += site_hits;
         inner.site_misses += site_misses;
         inner.dfg_arena_reuse += arena_reuse;

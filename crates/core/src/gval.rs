@@ -425,12 +425,12 @@ mod tests {
     #[test]
     fn hw_mode_records_dfg_when_enabled() {
         let table = CostTable::from_pairs([(Op::Add, 1.0), (Op::Mul, 2.0)]);
-        let mut ctx = with_test_ctx(ResourceKind::Parallel, table, true, || {
+        let ctx = with_test_ctx(ResourceKind::Parallel, table, true, || {
             let a: G<i32> = G::raw(1);
             let s = a + a;
             let _p = s * s;
         });
-        let dfg = ctx.take_segment().dfg.expect("dfg recorded");
+        let dfg = ctx.take.dfg.expect("dfg recorded");
         assert_eq!(dfg.len(), 2);
         assert_eq!(dfg.critical_path(), 3);
         assert_eq!(dfg.sequential_cycles(), 3);

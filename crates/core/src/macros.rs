@@ -193,10 +193,9 @@ macro_rules! g_site {
 /// wrapping arithmetic, and the native block must not charge or wait.
 /// The annotated block runs on the first execution per key (recording
 /// the program), in [`MemoMode::Off`](crate::MemoMode) and
-/// [`MemoMode::Verify`](crate::MemoMode), on non-sequential resources
-/// and on the legacy path — so the annotated semantics remain the
-/// source of truth, and verify mode still checks programs against live
-/// charging.
+/// [`MemoMode::Verify`](crate::MemoMode) and on non-sequential
+/// resources — so the annotated semantics remain the source of truth,
+/// and verify mode still checks programs against live charging.
 ///
 /// ```
 /// use scperf_core::{g_for, g_twin, GArr};
@@ -345,18 +344,12 @@ mod tests {
             });
         });
         for memo in [MemoMode::Off, MemoMode::Replay, MemoMode::Verify] {
-            let looped = with_test_ctx_full(
-                ResourceKind::Sequential,
-                table.clone(),
-                false,
-                false,
-                memo,
-                || {
+            let looped =
+                with_test_ctx_full(ResourceKind::Sequential, table.clone(), false, memo, || {
                     g_loop!(_i in 0..6 => {
                         crate::charge_op(Op::Mul);
                     });
-                },
-            );
+                });
             assert_eq!(plain.acc.to_bits(), looped.acc.to_bits(), "{memo:?}");
             assert_eq!(plain.counts, looped.counts, "{memo:?}");
         }
@@ -371,20 +364,13 @@ mod tests {
             (Op::Cmp, 1.0),
         ]);
         let run = |memo| {
-            with_test_ctx_full(
-                ResourceKind::Sequential,
-                table.clone(),
-                false,
-                false,
-                memo,
-                || {
-                    for trip in [2usize, 5, 2, 5, 5] {
-                        g_site!((trip as u64) {
-                            g_for!(_i in 0..trip => {});
-                        });
-                    }
-                },
-            )
+            with_test_ctx_full(ResourceKind::Sequential, table.clone(), false, memo, || {
+                for trip in [2usize, 5, 2, 5, 5] {
+                    g_site!((trip as u64) {
+                        g_for!(_i in 0..trip => {});
+                    });
+                }
+            })
         };
         let live = run(MemoMode::Off);
         let memo = run(MemoMode::Replay);
@@ -400,7 +386,6 @@ mod tests {
         let ctx = with_test_ctx_full(
             ResourceKind::Sequential,
             table,
-            false,
             false,
             MemoMode::Replay,
             || {

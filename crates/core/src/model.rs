@@ -16,7 +16,6 @@ use std::task::{Context, Poll};
 use scperf_kernel::{Fifo, ProcCtx, ProcId, ProcessBody, Rendezvous, Signal, Simulator, Time};
 
 use crate::capture::{CaptureList, CapturePoint};
-use crate::cost::OpCounts;
 use crate::estimator::{end_segment, EstHotStats, EstimatorShared, Mode, NODE_WAIT};
 use crate::hw::Dfg;
 use crate::prog::{fingerprint_costs, ProgStore, ProgramSet};
@@ -94,14 +93,6 @@ impl PerfModel {
     /// default.
     pub fn attribution(&self, enable: bool) {
         self.est.inner.lock().attribution = enable;
-    }
-
-    /// Routes operator charging through the legacy `RefCell`-per-op path
-    /// instead of the flat thread-local fast path. Bit-identical results,
-    /// strictly slower — exists as the measurable baseline for
-    /// `estimator_bench` and as a diagnostic escape hatch.
-    pub fn legacy_charging(&self, enable: bool) {
-        self.est.inner.lock().legacy_charging = enable;
     }
 
     /// Sets the segment-site memoization policy for processes spawned
@@ -514,7 +505,7 @@ fn install_context(
     resource: ResourceId,
     replay: Option<Replay>,
 ) {
-    let (kind, costs, k, rtos_cycles, legacy, memo, record_dfgs, warm) = {
+    let (kind, costs, k, rtos_cycles, memo, record_dfgs, warm) = {
         let inner = est.inner.lock();
         let r = inner.platform.resource(resource);
         (
@@ -522,7 +513,6 @@ fn install_context(
             tls::dense_costs(&r.costs),
             r.k,
             r.rtos_cycles,
-            inner.legacy_charging,
             inner.memo_mode,
             inner.record_dfgs,
             inner.warm_programs.clone(),
@@ -538,9 +528,6 @@ fn install_context(
         costs,
         k,
         rtos_cycles,
-        acc: 0.0,
-        counts: OpCounts::new(),
-        max_ready: 0.0,
         dfg: record_dfgs.then(Dfg::default),
         current_node: crate::estimator::NODE_ENTRY,
         replay: replay.map(|r| {
@@ -551,7 +538,6 @@ fn install_context(
                 next: 0,
             }
         }),
-        legacy,
         memo,
         progs: ProgStore::with_warm(warm),
         rec_events: Vec::new(),

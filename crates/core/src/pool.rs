@@ -28,7 +28,7 @@
 //!    └─ free list ◀─ reset()  ── acquire() ─▶ live ───────┘
 //!                    (drops processes,      (a hit; the caller
 //!                     clears kernel +        stamps its platform with
-//!                     estimator state,       reset_with_platform)
+//!                     estimator state,       set_platform)
 //!                     keeps configuration)
 //! ```
 //!
@@ -147,7 +147,7 @@ impl SessionPool {
     /// Creates a pool of up to `limits.max_sessions` slots, each built
     /// on first use by `build`. The factory fixes the slots' kernel
     /// configuration (jobs, tracing); per-scenario variation — the
-    /// platform ([`Session::reset_with_platform`]), replays, warm
+    /// platform ([`Session::set_platform`]), replays, warm
     /// programs — is stamped in by the caller after acquisition.
     pub fn new(
         limits: InstanceLimits,

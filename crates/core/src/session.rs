@@ -68,7 +68,6 @@ pub struct SimConfig {
     record_instantaneous: bool,
     record_dfgs: bool,
     record_costs: bool,
-    legacy_charging: bool,
     site_memo: MemoMode,
     run_limit: Option<Time>,
     attribution: bool,
@@ -92,7 +91,6 @@ impl SimConfig {
             record_instantaneous: false,
             record_dfgs: false,
             record_costs: false,
-            legacy_charging: false,
             site_memo: MemoMode::default(),
             run_limit: None,
             attribution: false,
@@ -179,21 +177,8 @@ impl SimConfig {
     /// [`SimOptions::jobs`]); `1` (the default) is the plain sequential
     /// kernel. Results are bit-identical for any value — see
     /// `docs/PARALLELISM.md` for the determinism contract.
-    ///
-    /// [`SimConfig::legacy_charging`] forces `jobs = 1` at build time:
-    /// the legacy charging path mutates per-operator state in execution
-    /// order, which only the sequential kernel reproduces.
     pub fn jobs(mut self, jobs: usize) -> SimConfig {
         self.options = self.options.jobs(jobs);
-        self
-    }
-
-    /// Routes operator charging through the legacy `RefCell`-per-op path
-    /// instead of the flat thread-local fast path. Bit-identical
-    /// results, strictly slower — the measurable baseline of
-    /// `estimator_bench` and a diagnostic escape hatch.
-    pub fn legacy_charging(mut self, enable: bool) -> SimConfig {
-        self.legacy_charging = enable;
         self
     }
 
@@ -216,13 +201,7 @@ impl SimConfig {
     /// Builds the [`Session`]: simulator plus estimation model, wired
     /// per this configuration.
     pub fn build(self) -> Session {
-        let mut options = self.options.attribution(self.attribution);
-        if self.legacy_charging {
-            // Legacy charging is order-sensitive; only the sequential
-            // kernel reproduces its execution order.
-            options = options.jobs(1);
-        }
-        let sim = Simulator::with_options(options);
+        let sim = Simulator::with_options(self.options.attribution(self.attribution));
         let model = PerfModel::new(self.platform, self.mode);
         model.attribution(self.attribution);
         if self.record_instantaneous {
@@ -231,7 +210,6 @@ impl SimConfig {
         if self.record_dfgs {
             model.record_dfgs();
         }
-        model.legacy_charging(self.legacy_charging);
         model.site_memo(self.site_memo);
         if let Some(set) = self.programs {
             model.warm_programs(set);
@@ -464,6 +442,24 @@ impl Session {
             TraceMode::Unbounded => self.sim.enable_tracing(),
             TraceMode::Ring(n) => self.sim.enable_tracing_ring(n),
         }
+        self.set_platform(platform);
+    }
+
+    /// Stamps a new [`Platform`] into a session that has not been
+    /// elaborated since it was built or reset, resetting only the
+    /// estimator: the kernel is already clean. The pooled reuse path —
+    /// a [`crate::SessionPool`] resets slots when they are released, so
+    /// an acquired slot needs only the next scenario's platform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if processes were spawned or channels created since the
+    /// last build or reset (use [`Session::reset_with_platform`]).
+    pub fn set_platform(&mut self, platform: Platform) {
+        assert!(
+            self.sim.process_count() == 0 && self.sim.channel_count() == 0,
+            "set_platform needs an unelaborated session; use reset_with_platform"
+        );
         self.model.reset_estimator(platform);
         if self.record_costs {
             self.model.recorder();
@@ -599,6 +595,35 @@ mod tests {
         });
         let replayed = session.run().unwrap();
         assert_eq!(replayed.end_time, live.end_time);
+    }
+
+    #[test]
+    fn set_platform_on_a_reset_slot_matches_a_fresh_build() {
+        let (slow, cpu) = one_cpu();
+        let mut fast = Platform::new();
+        fast.sequential("cpu0", Time::ns(2), CostTable::risc_sw(), 10.0);
+        let run = |session: &mut Session| {
+            session.spawn("w", cpu, |mut ctx| async move {
+                let _ = g_i64(2) * g_i64(3);
+                crate::model::timed_wait(&mut ctx, Time::ns(5)).await;
+            });
+            (session.run().unwrap(), session.report())
+        };
+        let fresh = run(&mut SimConfig::new().platform(fast.clone()).build());
+        let mut slot = SimConfig::new().platform(slow).build();
+        run(&mut slot);
+        slot.reset();
+        slot.set_platform(fast);
+        assert_eq!(run(&mut slot), fresh);
+    }
+
+    #[test]
+    #[should_panic(expected = "unelaborated session")]
+    fn set_platform_rejects_an_elaborated_session() {
+        let (platform, cpu) = one_cpu();
+        let mut session = SimConfig::new().platform(platform.clone()).build();
+        session.spawn("w", cpu, |_ctx| {});
+        session.set_platform(platform);
     }
 
     #[test]

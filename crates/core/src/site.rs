@@ -32,9 +32,9 @@
 //! *sequential* resources; the recorder additionally refuses to store a
 //! program whose `Σ count·cost` does not reproduce the measured `Δacc`
 //! bit-for-bit. Fractional tables, parallel resources (whose DFG node
-//! lineage spans iterations), replaying processes and the legacy
-//! charging path all leave the region charging live — marking a region
-//! is always sound, never mandatory.
+//! lineage spans iterations) and replaying processes all leave the
+//! region charging live — marking a region is always sound, never
+//! mandatory.
 //!
 //! [`MemoMode::Verify`] re-charges every "hit" live anyway and asserts
 //! the compiled program bit-equal — the debugging mode for validating
@@ -525,20 +525,13 @@ mod tests {
     #[test]
     fn replay_matches_live_bit_for_bit() {
         let run = |memo| {
-            with_test_ctx_full(
-                ResourceKind::Sequential,
-                int_table(),
-                false,
-                false,
-                memo,
-                || {
-                    static SITE: SegmentSite = SegmentSite::new();
-                    for _ in 0..10 {
-                        let _g = site_enter(&SITE, 0);
-                        body();
-                    }
-                },
-            )
+            with_test_ctx_full(ResourceKind::Sequential, int_table(), false, memo, || {
+                static SITE: SegmentSite = SegmentSite::new();
+                for _ in 0..10 {
+                    let _g = site_enter(&SITE, 0);
+                    body();
+                }
+            })
         };
         let live = run(MemoMode::Off);
         let memo = run(MemoMode::Replay);
@@ -552,7 +545,6 @@ mod tests {
         let ctx = with_test_ctx_full(
             ResourceKind::Sequential,
             int_table(),
-            false,
             false,
             MemoMode::Replay,
             || {
@@ -580,7 +572,6 @@ mod tests {
             ResourceKind::Sequential,
             int_table(),
             false,
-            false,
             MemoMode::Replay,
             || {
                 static SITE: SegmentSite = SegmentSite::new();
@@ -604,7 +595,6 @@ mod tests {
             ResourceKind::Sequential,
             CostTable::figure3(), // Branch = 2.4
             false,
-            false,
             MemoMode::Replay,
             || {
                 static SITE: SegmentSite = SegmentSite::new();
@@ -623,7 +613,6 @@ mod tests {
         let ctx = with_test_ctx_full(
             ResourceKind::Sequential,
             int_table(),
-            false,
             false,
             MemoMode::Verify,
             || {
@@ -645,7 +634,6 @@ mod tests {
             ResourceKind::Sequential,
             int_table(),
             false,
-            false,
             MemoMode::Verify,
             || {
                 static SITE: SegmentSite = SegmentSite::new();
@@ -663,25 +651,18 @@ mod tests {
     #[test]
     fn nested_regions_stay_consistent() {
         let run = |memo| {
-            with_test_ctx_full(
-                ResourceKind::Sequential,
-                int_table(),
-                false,
-                false,
-                memo,
-                || {
-                    static OUTER: SegmentSite = SegmentSite::new();
-                    static INNER: SegmentSite = SegmentSite::new();
-                    for _ in 0..3 {
-                        let _o = site_enter(&OUTER, 0);
-                        charge_op(Op::Mul);
-                        for _ in 0..4 {
-                            let _i = site_enter(&INNER, 0);
-                            charge_op(Op::Add);
-                        }
+            with_test_ctx_full(ResourceKind::Sequential, int_table(), false, memo, || {
+                static OUTER: SegmentSite = SegmentSite::new();
+                static INNER: SegmentSite = SegmentSite::new();
+                for _ in 0..3 {
+                    let _o = site_enter(&OUTER, 0);
+                    charge_op(Op::Mul);
+                    for _ in 0..4 {
+                        let _i = site_enter(&INNER, 0);
+                        charge_op(Op::Add);
                     }
-                },
-            )
+                }
+            })
         };
         let live = run(MemoMode::Off);
         let memo = run(MemoMode::Replay);
@@ -695,7 +676,6 @@ mod tests {
         let ctx = with_test_ctx_full(
             ResourceKind::Sequential,
             int_table(),
-            false,
             false,
             MemoMode::Replay,
             || {
@@ -721,7 +701,6 @@ mod tests {
         let mut ctx = with_test_ctx_full(
             ResourceKind::Sequential,
             int_table(),
-            false,
             false,
             MemoMode::Replay,
             || {
@@ -750,7 +729,6 @@ mod tests {
         let mut ctx = with_test_ctx_full(
             ResourceKind::Sequential,
             int_table(),
-            false,
             false,
             MemoMode::Replay,
             || {
@@ -781,7 +759,6 @@ mod tests {
                 ResourceKind::Sequential,
                 int_table(),
                 false,
-                false,
                 MemoMode::Replay,
                 move || {
                     static SITE: SegmentSite = SegmentSite::new();
@@ -807,7 +784,6 @@ mod tests {
         let mut ctx = with_test_ctx_full(
             ResourceKind::Sequential,
             int_table(),
-            false,
             false,
             MemoMode::Replay,
             || {

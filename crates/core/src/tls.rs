@@ -24,16 +24,12 @@
 //!   arithmetic on the cells — no `RefCell` borrow, no `Option` unwrap.
 //!   On an un-instrumented thread the discriminant is [`S_ABSENT`] and the
 //!   whole call is a single flag test.
-//! * [`ThreadCtx`] — the full context behind the original
+//! * [`ThreadCtx`] — the rest of the context behind a
 //!   `RefCell<Option<…>>`, touched only at segment boundaries
-//!   (`take_segment`), at site-memo region edges, and by the preserved
-//!   legacy charging path used as the benchmark baseline.
+//!   (`take_segment`), at site-memo region edges and by DFG recording.
 //!
 //! `install` seeds the fast slots from the `ThreadCtx`; `take_segment`
-//! drains both tiers (exactly one of them holds non-zero accumulators);
-//! `uninstall` folds any residual fast-slot state back into the returned
-//! `ThreadCtx` so tests and callers observe the same totals as before the
-//! split.
+//! drains the accumulators out of them; `uninstall` clears them.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -57,9 +53,6 @@ pub(crate) const S_PAR: u8 = 3;
 /// Fast-slot state: parallel charging with DFG recording (outlined path —
 /// the node push needs the `RefCell` context).
 pub(crate) const S_PAR_DFG: u8 = 4;
-/// Fast-slot state: route every charge through the legacy
-/// [`ThreadCtx::charge`] `RefCell` path (benchmark baseline).
-pub(crate) const S_LEGACY: u8 = 5;
 
 /// Effective memo mode: off (mirrors `MemoMode::Off as u8`).
 pub(crate) const MEMO_OFF: u8 = MemoMode::Off as u8;
@@ -145,22 +138,12 @@ pub(crate) struct ThreadCtx {
     pub(crate) costs: [f64; OP_COUNT],
     pub(crate) k: f64,
     pub(crate) rtos_cycles: f64,
-    /// Sequential resources: accumulated fractional cycles.
-    /// Parallel resources: accumulated single-ALU cycles (T_max).
-    /// Only the legacy charging path accumulates here; the fast path uses
-    /// [`FastSlots::acc`]. `take_segment` and `uninstall` merge the two.
-    pub(crate) acc: f64,
-    pub(crate) counts: OpCounts,
-    /// Critical-path tracking for parallel resources (legacy path).
-    pub(crate) max_ready: f64,
     /// Optional full dataflow-graph recording (for HLS export).
     pub(crate) dfg: Option<Dfg>,
     /// Node at which the current segment started.
     pub(crate) current_node: u32,
     /// Replay mode: pop recorded segment costs instead of charging.
     pub(crate) replay: Option<ReplayCursor>,
-    /// Route charging through the legacy `RefCell` path (baseline).
-    pub(crate) legacy: bool,
     /// Requested site-memoization mode; the effective mode additionally
     /// requires a sequential resource, live estimation and an
     /// integer-valued cost table (see [`CostTable::is_integral`]).
@@ -180,18 +163,16 @@ pub(crate) struct ThreadCtx {
     pub(crate) cp_scratch: Vec<u64>,
 }
 
-/// Everything one finished segment drained out of both context tiers.
+/// Everything one finished segment drained out of the context.
 pub(crate) struct SegmentTake {
     /// Accumulated cycles (sequential) / single-ALU cycles (parallel).
     pub(crate) acc: f64,
     /// Critical-path frontier (parallel).
     pub(crate) max_ready: f64,
-    /// Merged per-op counts (fast + legacy).
+    /// Per-op counts.
     pub(crate) counts: OpCounts,
     /// The sealed DFG, when recording was on.
     pub(crate) dfg: Option<Dfg>,
-    /// Operations charged through the fast path this segment.
-    pub(crate) fast_ops: u64,
     /// Site-memo cache hits this segment.
     pub(crate) site_hits: u64,
     /// Site-memo cache misses (recordings) this segment.
@@ -204,8 +185,6 @@ pub(crate) struct SegmentTake {
 pub(crate) fn install(mut ctx: ThreadCtx) {
     let state = if ctx.replay.is_some() || ctx.kind == ResourceKind::Environment {
         S_PASSIVE
-    } else if ctx.legacy {
-        S_LEGACY
     } else {
         match ctx.kind {
             ResourceKind::Sequential => S_SEQ,
@@ -270,30 +249,20 @@ fn integral(costs: &[f64; OP_COUNT]) -> bool {
     costs.iter().all(|c| c.is_finite() && c.fract() == 0.0)
 }
 
-/// Removes the context (at process-body exit), folding any residual
-/// fast-slot state back into the returned `ThreadCtx` so callers observe
-/// the same accumulators as before the fast-path split.
+/// Removes the context (at process-body exit) and disarms the fast
+/// slots; charges made since the last segment boundary are discarded
+/// (the next [`install`] re-seeds every slot).
 pub(crate) fn uninstall() -> Option<ThreadCtx> {
-    let mut ctx = CTX.with(|slot| slot.borrow_mut().take())?;
+    let ctx = CTX.with(|slot| slot.borrow_mut().take())?;
     FAST.with(|f| {
-        ctx.acc += f.acc.replace(0.0);
-        let mr = f.max_ready.replace(0.0);
-        if mr > ctx.max_ready {
-            ctx.max_ready = mr;
-        }
-        for (i, c) in f.counts.iter().enumerate() {
-            ctx.counts.add_index(i, c.replace(0));
-        }
-        f.site_hits.set(0);
-        f.site_misses.set(0);
-        f.memo.set(MemoMode::Off as u8);
+        f.memo.set(MEMO_OFF);
         f.state.set(S_ABSENT);
     });
     Some(ctx)
 }
 
-/// A suspended process's estimation state: both context tiers, moved
-/// verbatim out of the thread-local slots.
+/// A suspended process's estimation state: the context and its fast
+/// slots, moved verbatim out of the thread-locals.
 pub(crate) struct Stashed {
     ctx: ThreadCtx,
     fast: FastCopy,
@@ -374,9 +343,6 @@ pub(crate) fn with<R>(f: impl FnOnce(&mut ThreadCtx) -> R) -> Option<R> {
 ///   the clock period") and track both the dataflow critical path
 ///   (`T_min`) and the single-ALU sum (`T_max`).
 /// * Absent, environment and replaying contexts cost one flag test.
-///
-/// The arithmetic is bit-identical to the legacy [`ThreadCtx::charge`]
-/// path: same accumulation order, same rounding (done once at install).
 #[inline]
 pub(crate) fn charge(op: Op, a_ready: f64, a_node: u32, b_ready: f64, b_node: u32) -> (f64, u32) {
     FAST.with(|f| {
@@ -393,7 +359,7 @@ pub(crate) fn charge(op: Op, a_ready: f64, a_node: u32, b_ready: f64, b_node: u3
         if state == S_PAR {
             return (charge_par(f, op, a_ready, b_ready), NO_NODE);
         }
-        charge_slow(f, state, op, a_ready, a_node, b_ready, b_node)
+        charge_slow(f, op, a_ready, a_node, b_ready, b_node)
     })
 }
 
@@ -413,87 +379,30 @@ fn charge_par(f: &FastSlots, op: Op, a_ready: f64, b_ready: f64) -> f64 {
     ready
 }
 
-/// Outlined uncommon states: DFG recording (needs the `RefCell` context
-/// for the node push) and the legacy baseline path.
+/// Outlined uncommon state: DFG recording ([`S_PAR_DFG`]), which needs
+/// the `RefCell` context for the node push.
 #[cold]
 #[inline(never)]
 fn charge_slow(
     f: &FastSlots,
-    state: u8,
     op: Op,
     a_ready: f64,
     a_node: u32,
     b_ready: f64,
     b_node: u32,
 ) -> (f64, u32) {
-    if state == S_PAR_DFG {
-        let ready = charge_par(f, op, a_ready, b_ready);
-        let lat = f.costs[op.index()].get() as u64;
-        let node = with(|c| match c.dfg.as_mut() {
-            Some(dfg) => dfg.push(op, lat, a_node, b_node),
-            None => NO_NODE,
-        })
-        .unwrap_or(NO_NODE);
-        (ready, node)
-    } else {
-        debug_assert_eq!(state, S_LEGACY);
-        with(|c| c.charge(op, a_ready, a_node, b_ready, b_node)).unwrap_or((0.0, NO_NODE))
-    }
+    debug_assert_eq!(f.state.get(), S_PAR_DFG);
+    let ready = charge_par(f, op, a_ready, b_ready);
+    let lat = f.costs[op.index()].get() as u64;
+    let node = with(|c| match c.dfg.as_mut() {
+        Some(dfg) => dfg.push(op, lat, a_node, b_node),
+        None => NO_NODE,
+    })
+    .unwrap_or(NO_NODE);
+    (ready, node)
 }
 
 impl ThreadCtx {
-    /// The original per-op charging path, preserved verbatim behind the
-    /// [`S_LEGACY`] state as the measurable pre-fast-path baseline (see
-    /// `estimator_bench`): a full thread-local + `RefCell` access per
-    /// operation.
-    ///
-    /// * Sequential resources accumulate the raw fractional cost (§3:
-    ///   "total time is obtained by adding the partial times").
-    /// * Parallel resources round each operation up to a whole number of
-    ///   clock cycles (§3: "a multiple of the clock period") and track both
-    ///   the dataflow critical path (`T_min`) and the single-ALU sum
-    ///   (`T_max`).
-    /// * Environment resources charge nothing.
-    #[inline]
-    pub(crate) fn charge(
-        &mut self,
-        op: Op,
-        a_ready: f64,
-        a_node: u32,
-        b_ready: f64,
-        b_node: u32,
-    ) -> (f64, u32) {
-        if self.replay.is_some() {
-            // Replay mode: the segment's cycles come from the recorded
-            // trace at the next boundary; individual operations charge
-            // nothing (the workload runs its plain form).
-            return (0.0, NO_NODE);
-        }
-        match self.kind {
-            ResourceKind::Environment => (0.0, NO_NODE),
-            ResourceKind::Sequential => {
-                self.acc += self.costs[op.index()];
-                self.counts.bump(op);
-                (0.0, NO_NODE)
-            }
-            ResourceKind::Parallel => {
-                let lat = self.costs[op.index()].ceil().max(0.0);
-                let start = a_ready.max(b_ready);
-                let ready = start + lat;
-                self.acc += lat;
-                if ready > self.max_ready {
-                    self.max_ready = ready;
-                }
-                self.counts.bump(op);
-                let node = match self.dfg.as_mut() {
-                    Some(dfg) => dfg.push(op, lat as u64, a_node, b_node),
-                    None => NO_NODE,
-                };
-                (ready, node)
-            }
-        }
-    }
-
     /// Replay mode: pops the next recorded segment cost, or `None` when
     /// the context estimates live.
     ///
@@ -520,32 +429,24 @@ impl ThreadCtx {
         Some((v, detail))
     }
 
-    /// Drains the finished segment out of both context tiers (fast slots
-    /// and legacy fields — at most one holds non-zero accumulators),
-    /// resets them for the next segment, seals the recorded DFG (caching
-    /// its critical-path/sequential times) and hands the next segment a
+    /// Drains the finished segment out of the fast slots, resets them for
+    /// the next segment, seals the recorded DFG (caching its
+    /// critical-path/sequential times) and hands the next segment a
     /// recycled node buffer from the arena.
     pub(crate) fn take_segment(&mut self) -> SegmentTake {
-        let mut acc = std::mem::take(&mut self.acc);
-        let mut max_ready = std::mem::take(&mut self.max_ready);
-        let mut counts = std::mem::replace(&mut self.counts, OpCounts::new());
-        let mut fast_ops = 0;
-        let mut site_hits = 0;
-        let mut site_misses = 0;
-        FAST.with(|f| {
-            acc += f.acc.replace(0.0);
-            let mr = f.max_ready.replace(0.0);
-            if mr > max_ready {
-                max_ready = mr;
-            }
+        let (acc, max_ready, counts, site_hits, site_misses) = FAST.with(|f| {
+            let mut counts = OpCounts::new();
             for (i, c) in f.counts.iter().enumerate() {
-                let n = c.replace(0);
-                counts.add_index(i, n);
-                fast_ops += n;
+                counts.add_index(i, c.replace(0));
             }
-            site_hits = f.site_hits.replace(0);
-            site_misses = f.site_misses.replace(0);
             f.seg_gen.set(f.seg_gen.get().wrapping_add(1));
+            (
+                f.acc.replace(0.0),
+                f.max_ready.replace(0.0),
+                counts,
+                f.site_hits.replace(0),
+                f.site_misses.replace(0),
+            )
         });
         let mut arena_reuse = 0;
         let dfg = match self.dfg.as_mut() {
@@ -565,7 +466,6 @@ impl ThreadCtx {
             max_ready,
             counts,
             dfg,
-            fast_ops,
             site_hits,
             site_misses,
             arena_reuse,
@@ -621,26 +521,27 @@ pub(crate) mod testutil {
     use crate::resource::Platform;
     use scperf_kernel::Time;
 
-    /// Installs a context bound to a throwaway estimator and runs `f`,
-    /// returning the context state afterwards (fast-slot accumulators
-    /// folded back in by `uninstall`).
-    pub(crate) fn with_test_ctx(
-        kind: ResourceKind,
-        table: CostTable,
-        record_dfg: bool,
-        f: impl FnOnce(),
-    ) -> ThreadCtx {
-        with_test_ctx_full(kind, table, record_dfg, false, MemoMode::Off, f)
+    /// What a test run left behind: the drained segment (derefs to its
+    /// `acc`/`counts`/`max_ready`/`dfg`) and the context's program store.
+    pub(crate) struct TestRun {
+        pub(crate) take: SegmentTake,
+        pub(crate) progs: ProgStore,
     }
 
-    /// [`with_test_ctx`] with explicit legacy-path and memo-mode knobs.
-    pub(crate) fn with_test_ctx_full(
+    impl std::ops::Deref for TestRun {
+        type Target = SegmentTake;
+
+        fn deref(&self) -> &SegmentTake {
+            &self.take
+        }
+    }
+
+    /// A context bound to a throwaway estimator, not yet installed.
+    pub(crate) fn test_ctx(
         kind: ResourceKind,
-        table: CostTable,
+        table: &CostTable,
         record_dfg: bool,
-        legacy: bool,
         memo: MemoMode,
-        f: impl FnOnce(),
     ) -> ThreadCtx {
         let mut platform = Platform::new();
         let resource = match kind {
@@ -650,37 +551,59 @@ pub(crate) mod testutil {
             ResourceKind::Parallel => platform.parallel("hw", Time::ns(10), table.clone(), 0.0),
             ResourceKind::Environment => platform.environment("env"),
         };
-        let est = EstimatorShared::new(platform, crate::Mode::EstimateOnly);
-        install(ThreadCtx {
-            est,
+        ThreadCtx {
+            est: EstimatorShared::new(platform, crate::Mode::EstimateOnly),
             pid: 0,
             resource,
             kind,
-            costs: dense_costs(&table),
+            costs: dense_costs(table),
             k: 0.0,
             rtos_cycles: 0.0,
-            acc: 0.0,
-            counts: OpCounts::new(),
-            max_ready: 0.0,
             dfg: record_dfg.then(Dfg::default),
             current_node: 0,
             replay: None,
-            legacy,
             memo,
             progs: ProgStore::new(),
             rec_events: Vec::new(),
             rec_depth: 0,
             dfg_spare: Vec::new(),
             cp_scratch: Vec::new(),
-        });
+        }
+    }
+
+    /// Installs a [`test_ctx`] and runs `f`, returning the segment it
+    /// charged.
+    pub(crate) fn with_test_ctx(
+        kind: ResourceKind,
+        table: CostTable,
+        record_dfg: bool,
+        f: impl FnOnce(),
+    ) -> TestRun {
+        with_test_ctx_full(kind, table, record_dfg, MemoMode::Off, f)
+    }
+
+    /// [`with_test_ctx`] with an explicit memo mode.
+    pub(crate) fn with_test_ctx_full(
+        kind: ResourceKind,
+        table: CostTable,
+        record_dfg: bool,
+        memo: MemoMode,
+        f: impl FnOnce(),
+    ) -> TestRun {
+        install(test_ctx(kind, &table, record_dfg, memo));
         f();
-        uninstall().expect("context present")
+        let take = with(|c| c.take_segment()).expect("context present");
+        let ctx = uninstall().expect("context present");
+        TestRun {
+            take,
+            progs: ctx.progs,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::{with_test_ctx, with_test_ctx_full};
+    use super::testutil::{test_ctx, with_test_ctx};
     use super::*;
 
     #[test]
@@ -725,72 +648,80 @@ mod tests {
     }
 
     #[test]
-    fn legacy_path_matches_fast_path_bit_for_bit() {
+    fn sequential_path_matches_the_paper_sum_bit_for_bit() {
         let table = CostTable::figure3(); // fractional Branch: 2.4
-        let run = |legacy| {
-            with_test_ctx_full(
-                ResourceKind::Sequential,
-                table.clone(),
-                false,
-                legacy,
-                MemoMode::Off,
-                || {
-                    for _ in 0..1000 {
-                        charge_branch();
-                        charge_op(Op::Assign);
-                        charge_op(Op::Index);
-                    }
-                },
-            )
-        };
-        let fast = run(false);
-        let legacy = run(true);
-        assert_eq!(fast.acc.to_bits(), legacy.acc.to_bits());
-        assert_eq!(fast.counts, legacy.counts);
+        let ops = [Op::Branch, Op::Assign, Op::Index];
+        let fast = with_test_ctx(ResourceKind::Sequential, table.clone(), false, || {
+            for _ in 0..1000 {
+                charge_branch();
+                charge_op(Op::Assign);
+                charge_op(Op::Index);
+            }
+        });
+        // §3: the segment's time is the sum of the partial times, in
+        // charge order.
+        let mut acc = 0.0;
+        let mut counts = OpCounts::new();
+        for _ in 0..1000 {
+            for op in ops {
+                acc += table[op];
+                counts.bump(op);
+            }
+        }
+        assert_eq!(fast.acc.to_bits(), acc.to_bits());
+        assert_eq!(fast.counts, counts);
     }
 
     #[test]
-    fn legacy_parallel_matches_fast_parallel() {
+    fn parallel_path_matches_the_paper_critical_path_bit_for_bit() {
         let table = CostTable::asic_hw();
-        let run = |legacy| {
-            with_test_ctx_full(
-                ResourceKind::Parallel,
-                table.clone(),
-                false,
-                legacy,
-                MemoMode::Off,
-                || {
-                    let mut ready = 0.0;
-                    let mut node = NO_NODE;
-                    for _ in 0..100 {
-                        let (r, n) = charge(Op::FMul, ready, node, 0.5, NO_NODE);
-                        ready = r;
-                        node = n;
-                        charge_op(Op::Add);
-                    }
-                },
-            )
-        };
-        let fast = run(false);
-        let legacy = run(true);
-        assert_eq!(fast.acc.to_bits(), legacy.acc.to_bits());
-        assert_eq!(fast.max_ready.to_bits(), legacy.max_ready.to_bits());
-        assert_eq!(fast.counts, legacy.counts);
+        let fast = with_test_ctx(ResourceKind::Parallel, table.clone(), false, || {
+            let mut ready = 0.0;
+            let mut node = NO_NODE;
+            for _ in 0..100 {
+                let (r, n) = charge(Op::FMul, ready, node, 0.5, NO_NODE);
+                ready = r;
+                node = n;
+                charge_op(Op::Add);
+            }
+        });
+        // §3: each operation takes a whole number of cycles and starts
+        // when its latest operand is ready; T_min is the latest finish,
+        // T_max the single-ALU sum.
+        let lat = |op: Op| table[op].ceil().max(0.0);
+        let (mut ready, mut max_ready, mut acc): (f64, f64, f64) = (0.0, 0.0, 0.0);
+        let mut counts = OpCounts::new();
+        for _ in 0..100 {
+            ready = ready.max(0.5) + lat(Op::FMul);
+            acc += lat(Op::FMul);
+            max_ready = max_ready.max(ready);
+            // The standalone Add's operands are ready at 0.
+            acc += lat(Op::Add);
+            max_ready = max_ready.max(lat(Op::Add));
+            counts.bump(Op::FMul);
+            counts.bump(Op::Add);
+        }
+        assert_eq!(fast.acc.to_bits(), acc.to_bits());
+        assert_eq!(fast.max_ready.to_bits(), max_ready.to_bits());
+        assert_eq!(fast.counts, counts);
     }
 
     #[test]
     fn replaying_context_ignores_charges_and_pops_trace() {
         let table = CostTable::from_pairs([(Op::Add, 2.0)]);
-        let mut ctx = with_test_ctx(ResourceKind::Sequential, table, false, || {});
+        let mut ctx = test_ctx(ResourceKind::Sequential, &table, false, MemoMode::Off);
         ctx.replay = Some(ReplayCursor {
             trace: Arc::new(vec![7.5, 3.25]),
             detail: None,
             next: 0,
         });
-        let (ready, node) = ctx.charge(Op::Add, 0.0, NO_NODE, 0.0, NO_NODE);
+        install(ctx);
+        let (ready, node) = charge(Op::Add, 0.0, NO_NODE, 0.0, NO_NODE);
         assert_eq!((ready, node), (0.0, NO_NODE));
-        assert_eq!(ctx.acc, 0.0, "replay must not accumulate");
-        assert_eq!(ctx.counts.total(), 0);
+        let take = with(|c| c.take_segment()).expect("installed");
+        assert_eq!(take.acc, 0.0, "replay must not accumulate");
+        assert_eq!(take.counts.total(), 0);
+        let mut ctx = uninstall().expect("installed");
         assert_eq!(ctx.pop_replay(), Some((7.5, None)));
         assert_eq!(ctx.pop_replay(), Some((3.25, None)));
     }
@@ -798,40 +729,24 @@ mod tests {
     #[test]
     fn live_context_does_not_pop() {
         let table = CostTable::from_pairs([(Op::Add, 2.0)]);
-        let mut ctx = with_test_ctx(ResourceKind::Sequential, table, false, || {});
+        let mut ctx = test_ctx(ResourceKind::Sequential, &table, false, MemoMode::Off);
         assert_eq!(ctx.pop_replay(), None);
     }
 
     #[test]
     fn take_segment_resets_state() {
-        let table = CostTable::from_pairs([(Op::Add, 2.0)]);
-        let mut ctx = with_test_ctx(ResourceKind::Sequential, table, false, || {
-            charge_op(Op::Add);
-        });
-        let take = ctx.take_segment();
-        assert_eq!(take.acc, 2.0);
-        assert_eq!(take.counts.get(Op::Add), 1);
-        assert_eq!(ctx.acc, 0.0);
-        assert_eq!(ctx.counts.total(), 0);
-    }
-
-    #[test]
-    fn take_segment_reports_fast_op_count() {
-        // take_segment drains the *live* fast slots when called with the
-        // context still installed; exercise that path via `with`.
         let table = CostTable::from_pairs([(Op::Add, 1.0)]);
-        let _ = with_test_ctx(ResourceKind::Sequential, table, false, || {
+        let ctx = with_test_ctx(ResourceKind::Sequential, table, false, || {
             charge_op(Op::Add);
             charge_op(Op::Add);
             let take = with(|c| c.take_segment()).expect("installed");
-            assert_eq!(take.fast_ops, 2);
             assert_eq!(take.acc, 2.0);
+            assert_eq!(take.counts.get(Op::Add), 2);
             // Slots were reset: a new segment starts from zero.
             charge_op(Op::Add);
-            let take = with(|c| c.take_segment()).expect("installed");
-            assert_eq!(take.acc, 1.0);
-            assert_eq!(take.fast_ops, 1);
         });
+        assert_eq!(ctx.acc, 1.0);
+        assert_eq!(ctx.counts.total(), 1);
     }
 
     #[test]
@@ -850,25 +765,5 @@ mod tests {
             assert_eq!(take.acc, 3.0);
             assert_eq!(take.counts.get(Op::Add), 2);
         });
-    }
-
-    #[test]
-    fn legacy_charges_do_not_count_as_fast_ops() {
-        let table = CostTable::from_pairs([(Op::Add, 1.0)]);
-        let _ = with_test_ctx_full(
-            ResourceKind::Sequential,
-            table,
-            false,
-            true,
-            MemoMode::Off,
-            || {
-                charge_op(Op::Add);
-                charge_op(Op::Add);
-                let take = with(|c| c.take_segment()).expect("installed");
-                assert_eq!(take.fast_ops, 0, "legacy ops must not count as fast");
-                assert_eq!(take.acc, 2.0);
-                assert_eq!(take.counts.get(Op::Add), 2);
-            },
-        );
     }
 }

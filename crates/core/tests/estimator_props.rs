@@ -34,7 +34,6 @@ fn run_loops(
     table: CostTable,
     k: f64,
     memo: MemoMode,
-    legacy: bool,
     trips: usize,
     segments: usize,
 ) -> (Report, EstHotStats) {
@@ -44,11 +43,7 @@ fn run_loops(
         ResourceKind::Parallel => platform.parallel("r0", Time::ns(10), table, k),
         ResourceKind::Environment => unreachable!("not benchmarked"),
     };
-    let mut session = SimConfig::new()
-        .platform(platform)
-        .site_memo(memo)
-        .legacy_charging(legacy)
-        .build();
+    let mut session = SimConfig::new().platform(platform).site_memo(memo).build();
     session.spawn("w", r, move |mut ctx| async move {
         for _ in 0..segments {
             let mut acc = G::raw(0_i64);
@@ -128,8 +123,9 @@ fn run_contended(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Live, memoized, verify and legacy estimation agree bit-for-bit
-    /// on random integral tables, both resource kinds and random k.
+    /// Live, memoized and verify estimation agree bit-for-bit on random
+    /// integral tables, both resource kinds and random k; live
+    /// sequential segments cost exactly Σ count·cost (§3).
     #[test]
     fn all_charging_modes_agree_on_integral_tables(
         costs in vec(0_u32..=15, OP_COUNT..=OP_COUNT),
@@ -145,18 +141,14 @@ proptest! {
         let table = table_from(&costs, None);
         let k = k100 as f64 / 100.0;
         let (live, live_hot) =
-            run_loops(kind, table.clone(), k, MemoMode::Off, false, trips, 3);
+            run_loops(kind, table.clone(), k, MemoMode::Off, trips, 3);
         let (memoized, memo_hot) =
-            run_loops(kind, table.clone(), k, MemoMode::Replay, false, trips, 3);
+            run_loops(kind, table.clone(), k, MemoMode::Replay, trips, 3);
         let (verified, _) =
-            run_loops(kind, table.clone(), k, MemoMode::Verify, false, trips, 3);
-        let (legacy, legacy_hot) =
-            run_loops(kind, table, k, MemoMode::Off, true, trips, 3);
+            run_loops(kind, table.clone(), k, MemoMode::Verify, trips, 3);
         prop_assert_eq!(&memoized, &live, "replay diverged from live");
         prop_assert_eq!(&verified, &live, "verify diverged from live");
-        prop_assert_eq!(&legacy, &live, "legacy diverged from live");
         prop_assert_eq!(live_hot.site_hits, 0);
-        prop_assert_eq!(legacy_hot.fast_charges, 0);
         if parallel {
             // Parallel resources never memoize (ceiled max/acc tracking
             // is not delta-replayable).
@@ -168,6 +160,15 @@ proptest! {
             // and it is the same in every segment here).
             prop_assert_eq!(memo_hot.site_misses, 1);
             prop_assert_eq!(memo_hot.site_hits, 2);
+            // Integral costs make every partial sum exact, so the
+            // charge-order sum equals the op-order dot product.
+            for seg in &live.processes[0].segments {
+                prop_assert_eq!(
+                    seg.stats.total_cycles.to_bits(),
+                    seg.stats.counts.dot(&table).to_bits(),
+                    "{} -> {}", seg.from, seg.to
+                );
+            }
         }
     }
 
@@ -181,10 +182,10 @@ proptest! {
     ) {
         let table = table_from(&costs, Some(frac_op));
         let (live, _) = run_loops(
-            ResourceKind::Sequential, table.clone(), 0.0, MemoMode::Off, false, trips, 2,
+            ResourceKind::Sequential, table.clone(), 0.0, MemoMode::Off, trips, 2,
         );
         let (memoized, hot) = run_loops(
-            ResourceKind::Sequential, table, 0.0, MemoMode::Replay, false, trips, 2,
+            ResourceKind::Sequential, table, 0.0, MemoMode::Replay, trips, 2,
         );
         prop_assert_eq!(&memoized, &live);
         prop_assert_eq!(hot.site_hits, 0, "fractional table must stay live");

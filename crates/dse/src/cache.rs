@@ -239,7 +239,8 @@ impl SegmentCostCache {
 
     /// Merges a harvested program set into the shared store for its
     /// fingerprint (copy-on-write: readers keep their `Arc`). Returns
-    /// how many programs were actually new. Empty sets are ignored.
+    /// how many programs were actually new. Empty sets, and sets whose
+    /// every program is already stored, leave the stored set untouched.
     pub fn publish_programs(&self, set: &ProgramSet) -> usize {
         if set.is_empty() {
             return 0;
@@ -248,11 +249,14 @@ impl SegmentCostCache {
         let mut map = self.programs.write();
         match map.get_mut(&set.table_fp()) {
             Some(slot) => {
-                let mut merged = (*slot.set).clone();
-                let added = merged.merge(set);
-                if added > 0 {
-                    slot.set = Arc::new(merged);
-                }
+                let added = if set
+                    .iter()
+                    .any(|(site, key, _)| slot.set.get(site, key).is_none())
+                {
+                    Arc::make_mut(&mut slot.set).merge(set)
+                } else {
+                    0
+                };
                 slot.last_used.store(now, Ordering::Relaxed);
                 added
             }
@@ -488,5 +492,23 @@ mod tests {
         // Importing again adds nothing.
         assert_eq!(other.import_programs(&blob).expect("imports"), 0);
         assert!(other.import_programs(b"junkjunkjunk").is_err());
+    }
+
+    #[test]
+    fn republishing_a_subset_keeps_the_stored_set() {
+        let cache = SegmentCostCache::new();
+        let risc = CostTable::risc_sw();
+        let mut both = one_prog_set(&risc, 11);
+        both.merge(&one_prog_set(&risc, 22));
+        assert_eq!(cache.publish_programs(&both), 2);
+        let stored = cache.programs(table_fingerprint(&risc)).expect("stored");
+        assert_eq!(cache.publish_programs(&one_prog_set(&risc, 22)), 0);
+        assert_eq!(cache.publish_programs(&both), 0);
+        let after = cache.programs(table_fingerprint(&risc)).expect("stored");
+        assert!(Arc::ptr_eq(&stored, &after), "stored set was copied");
+        // A new program still lands, in a fresh copy: `stored` is held.
+        assert_eq!(cache.publish_programs(&one_prog_set(&risc, 33)), 1);
+        let grown = cache.programs(table_fingerprint(&risc)).expect("stored");
+        assert_eq!((stored.len(), grown.len()), (2, 3));
     }
 }

@@ -39,9 +39,9 @@ pub struct SweepConfig {
     /// order) instead of all 243 — for tests and doc examples. `None`
     /// sweeps everything.
     pub limit: Option<usize>,
-    /// Charge through the legacy `RefCell` context instead of the flat
-    /// thread-local fast path. Estimates are bit-identical either way;
-    /// this exists as an A/B switch for benchmarks and regression tests.
+    /// Must be `false`: the legacy charging path it selected is gone
+    /// (0.10.0), and [`sweep`] panics naming this field otherwise. Kept
+    /// so existing struct literals still compile.
     pub legacy_charging: bool,
     /// A serialized program blob ([`SweepResult::programs_out`] from an
     /// earlier sweep, possibly another process) to warm-start the
@@ -166,7 +166,7 @@ pub fn evaluate(
     nframes: usize,
     cache: Option<&SegmentCostCache>,
 ) -> DesignPoint {
-    evaluate_with(table, mapping, nframes, cache, false, 1, None)
+    evaluate_with(table, mapping, nframes, cache, 1, None)
 }
 
 fn evaluate_with(
@@ -174,7 +174,6 @@ fn evaluate_with(
     mapping: [Target; 5],
     nframes: usize,
     cache: Option<&SegmentCostCache>,
-    legacy_charging: bool,
     kernel_jobs: usize,
     prog: Option<&ProgCounters>,
 ) -> DesignPoint {
@@ -182,7 +181,6 @@ fn evaluate_with(
     let vm = resolve_mapping(mapping, ids);
     let mut session = SimConfig::new()
         .platform(platform.clone())
-        .legacy_charging(legacy_charging)
         .jobs(kernel_jobs)
         .build();
     let elaborated = elaborate_cached(&mut session, &platform, vm, nframes, cache);
@@ -209,7 +207,15 @@ fn evaluate_with(
 /// `use_cache`, the returned points and frontier are bitwise identical —
 /// replayed traces reproduce live estimation exactly, and results are
 /// ordered by point index, not completion order.
+///
+/// # Panics
+///
+/// Panics if [`SweepConfig::legacy_charging`] is `true`.
 pub fn sweep(config: &SweepConfig) -> SweepResult {
+    assert!(
+        !config.legacy_charging,
+        "SweepConfig::legacy_charging must be false: the legacy charging path was removed"
+    );
     let mut mappings = all_mappings();
     if let Some(limit) = config.limit {
         mappings.truncate(limit);
@@ -227,7 +233,6 @@ pub fn sweep(config: &SweepConfig) -> SweepResult {
             mappings[i],
             config.nframes,
             cache.as_ref(),
-            config.legacy_charging,
             config.kernel_jobs,
             Some(&prog_counters),
         )
@@ -454,20 +459,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_charging_is_bit_identical_to_the_fast_path() {
-        let base = SweepConfig {
-            nframes: 1,
-            jobs: 2,
-            use_cache: false,
-            limit: Some(8),
-            ..SweepConfig::default()
-        };
-        let fast = sweep(&base);
-        let legacy = sweep(&SweepConfig {
+    #[should_panic(expected = "SweepConfig::legacy_charging must be false")]
+    fn legacy_charging_is_rejected_naming_the_field() {
+        sweep(&SweepConfig {
             legacy_charging: true,
-            ..base
+            limit: Some(1),
+            ..SweepConfig::default()
         });
-        assert_eq!(legacy.points, fast.points);
-        assert_eq!(legacy.frontier, fast.frontier);
     }
 }

@@ -26,8 +26,8 @@ proptest! {
             kernel_jobs: 1,
             use_cache: false,
             limit: Some(limit.min(14)),
-            legacy_charging: false,
             programs_in: None,
+            ..SweepConfig::default()
         };
         let oracle = sweep(&base);
         for (jobs, use_cache) in [(2, true), (8, true), (2, false)] {
@@ -55,8 +55,8 @@ proptest! {
             kernel_jobs: 1,
             use_cache: false,
             limit: Some(limit.min(10)),
-            legacy_charging: false,
             programs_in: None,
+            ..SweepConfig::default()
         };
         let oracle = sweep(&base);
         for (jobs, kernel_jobs) in [(1, 2), (1, 8), (2, 8)] {
@@ -118,8 +118,8 @@ fn full_sweep_matches_sequential_oracle() {
         kernel_jobs: 1,
         use_cache: false,
         limit: None,
-        legacy_charging: false,
         programs_in: None,
+        ..SweepConfig::default()
     };
     let oracle = sweep(&base);
     assert_eq!(oracle.points.len(), 243);

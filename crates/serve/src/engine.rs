@@ -65,7 +65,7 @@ fn build_platform(params: &PlatformParams) -> (Platform, [scperf_core::ResourceI
 /// shares the service's fixed knobs (attribution always on, the
 /// flight-recorder ring when armed) over a default platform. The
 /// per-scenario platform is stamped in after acquisition by
-/// [`Session::reset_with_platform`], so one homogeneous factory serves
+/// [`Session::set_platform`], so one homogeneous factory serves
 /// every parameter set.
 pub fn pool_factory(flight: usize) -> impl Fn() -> Session + Send + Sync + 'static {
     move || {
@@ -139,7 +139,7 @@ pub fn execute_pooled(
     })?;
     let (platform, ids) = build_platform(&sc.params);
     let vm = resolve_mapping(sc.mapping, ids);
-    slot.reset_with_platform(platform.clone());
+    slot.set_platform(platform.clone());
     let elaborated = elaborate_cached(&mut slot, &platform, vm, sc.nframes, cache);
     slot.enforce_limits().map_err(|e| RequestError {
         code: ErrorCode::Sim,
